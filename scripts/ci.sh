@@ -507,10 +507,12 @@ stream_smoke() {
 # pool sizes itself to the machine and may be serial on small runners).
 tsan_thread_stress() {
   local build="$1"
-  echo "=== [$build] RP_THREADS=8 reruns (obs, pool, fault, serve, stream, evolve, campaigns) ==="
+  echo "=== [$build] RP_THREADS=8 reruns (obs, pool, fault, serve, stream, evolve, bgp, flow, layer2, campaigns) ==="
   local suite
+  # bgp (RIB build), flow (Fig. 5b series bin blocks) and layer2 (flattening
+  # endpoints) fan out on the pool too.
   for suite in test_obs test_util test_fault test_serve test_stream \
-               test_evolve; do
+               test_evolve test_bgp test_flow test_layer2; do
     echo "--- $suite ---"
     RP_THREADS=8 "build/$build/tests/$suite" --gtest_brief=1
   done

@@ -1,7 +1,8 @@
 #include "bgp/route_computer.hpp"
 
+#include <algorithm>
 #include <limits>
-#include <queue>
+#include <numeric>
 #include <stdexcept>
 
 namespace rp::bgp {
@@ -87,106 +88,109 @@ DestinationRoutes RouteComputer::routes_to(net::Asn destination) const {
   constexpr unsigned kUnset = std::numeric_limits<unsigned>::max();
 
   std::vector<RouteSource> source(n, RouteSource::kProvider);
-  std::vector<unsigned> hops(n, kUnset);
+  std::vector<unsigned> hops(n, kUnset);  // kUnset: no route (yet).
   std::vector<std::int32_t> next(n, -1);
-  std::vector<bool> reachable(n, false);
 
   const std::size_t dest_index = graph.index_of(destination);
   source[dest_index] = RouteSource::kOrigin;
   hops[dest_index] = 0;
-  reachable[dest_index] = true;
 
   // Phase 1 — customer routes ripple *up* the provider hierarchy: an AS that
   // reaches the destination through a customer announces it to everyone,
   // including its own providers. Level-synchronous BFS; ties between equal-
   // level parents break toward the lower parent ASN.
-  std::vector<std::size_t> level{dest_index};
-  while (!level.empty()) {
-    std::vector<std::pair<std::size_t, std::size_t>> candidates;  // (p, x)
-    for (std::size_t x : level) {
+  // Every AS phases 1 and 2 give a route, in the order they find it.
+  std::vector<std::uint32_t> routed{static_cast<std::uint32_t>(dest_index)};
+  for (std::size_t first = 0, last = 1; first < last;
+       first = last, last = routed.size()) {
+    for (std::size_t k = first; k < last; ++k) {
+      const std::uint32_t x = routed[k];
       for (std::uint32_t p : providers_[x]) {
-        if (reachable[p]) continue;  // Already has a customer route (or is d).
-        candidates.emplace_back(p, x);
+        if (hops[p] == kUnset) {
+          source[p] = RouteSource::kCustomer;
+          hops[p] = hops[x] + 1;
+          next[p] = static_cast<std::int32_t>(x);
+          routed.push_back(p);
+        } else if (source[p] == RouteSource::kCustomer &&
+                   hops[p] == hops[x] + 1 &&
+                   asn_values_[x] <
+                       asn_values_[static_cast<std::size_t>(next[p])]) {
+          next[p] = static_cast<std::int32_t>(x);  // Same level, lower ASN.
+        }
       }
     }
-    std::vector<std::size_t> next_level;
-    for (const auto& [p, x] : candidates) {
-      if (!reachable[p]) {
-        reachable[p] = true;
-        source[p] = RouteSource::kCustomer;
-        hops[p] = hops[x] + 1;
-        next[p] = static_cast<std::int32_t>(x);
-        next_level.push_back(p);
-      } else if (source[p] == RouteSource::kCustomer &&
-                 hops[p] == hops[x] + 1 &&
-                 asn_values_[x] <
-                     asn_values_[static_cast<std::size_t>(next[p])]) {
-        next[p] = static_cast<std::int32_t>(x);  // Same level, lower ASN.
-      }
-    }
-    level = std::move(next_level);
   }
 
   // Phase 2 — peer routes: one settlement-free edge at the top of the path.
   // Only customer routes (or origination) may be announced across a peering
-  // edge, so eligibility is exactly "peer has a customer route".
-  for (std::size_t x = 0; x < n; ++x) {
-    if (reachable[x]) continue;
-    std::int32_t best_peer = -1;
-    unsigned best_hops = kUnset;
-    for (std::uint32_t y : peers_[x]) {
-      if (!reachable[y]) continue;
-      if (source[y] != RouteSource::kOrigin &&
-          source[y] != RouteSource::kCustomer)
-        continue;
-      const unsigned candidate_hops = hops[y] + 1;
-      if (candidate_hops < best_hops ||
-          (candidate_hops == best_hops && best_peer >= 0 &&
-           asn_values_[y] <
-               asn_values_[static_cast<std::size_t>(best_peer)])) {
-        best_hops = candidate_hops;
-        best_peer = static_cast<std::int32_t>(y);
+  // edge, so each AS without one takes the shortest such route among its
+  // peers, ties toward the lower peer ASN.
+  const std::size_t customer_routes = routed.size();
+  for (std::size_t k = 0; k < customer_routes; ++k) {
+    const std::uint32_t y = routed[k];
+    const unsigned candidate_hops = hops[y] + 1;
+    for (std::uint32_t x : peers_[y]) {
+      if (hops[x] == kUnset) {
+        source[x] = RouteSource::kPeer;
+        hops[x] = candidate_hops;
+        next[x] = static_cast<std::int32_t>(y);
+        routed.push_back(x);
+      } else if (source[x] == RouteSource::kPeer &&
+                 (candidate_hops < hops[x] ||
+                  (candidate_hops == hops[x] &&
+                   asn_values_[y] <
+                       asn_values_[static_cast<std::size_t>(next[x])]))) {
+        hops[x] = candidate_hops;
+        next[x] = static_cast<std::int32_t>(y);
       }
-    }
-    if (best_peer >= 0) {
-      reachable[x] = true;
-      source[x] = RouteSource::kPeer;
-      hops[x] = best_hops;
-      next[x] = best_peer;
     }
   }
 
   // Phase 3 — provider routes ripple *down* customer edges: any AS with a
-  // route announces it to its customers. Multi-source Dijkstra (edge weight
-  // 1, heterogeneous source depths), tie-break toward the lower parent ASN.
-  // Entries order by (hops, parent ASN) so equal-cost pops resolve toward
-  // the lower parent ASN; the parent index rides along for reconstruction.
-  using Entry = std::tuple<unsigned, std::uint32_t, std::uint32_t,
-                           std::size_t>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue;
-  for (std::size_t x = 0; x < n; ++x) {
-    if (!reachable[x]) continue;
-    for (std::uint32_t c : customers_[x]) {
-      if (!reachable[c])
-        queue.emplace(hops[x] + 1, asn_values_[x],
-                      static_cast<std::uint32_t>(x), c);
-    }
-  }
-  while (!queue.empty()) {
-    const auto [candidate_hops, parent_value, parent_index, x] = queue.top();
-    queue.pop();
-    if (reachable[x]) continue;  // Stale entry.
-    reachable[x] = true;
-    source[x] = RouteSource::kProvider;
-    hops[x] = candidate_hops;
-    next[x] = static_cast<std::int32_t>(parent_index);
-    for (std::uint32_t c : customers_[x]) {
-      if (!reachable[c])
-        queue.emplace(candidate_hops + 1, asn_values_[x],
-                      static_cast<std::uint32_t>(x), c);
-    }
+  // route announces it to its customers. Edge weights are all 1, so this is
+  // a multi-source BFS over hop levels: sources join the frontier at their
+  // own depth, and level h settles every unreached customer of level h - 1,
+  // each toward its lowest-ASN parent at that level. A Dijkstra heap keyed
+  // by (hops, parent ASN) pops in exactly this order, so the routes equal
+  // what the heap would produce — in O(V + E). The phase 1/2 routes are
+  // the sources, counting-sorted by hops.
+  unsigned max_hops = 0;
+  for (std::uint32_t x : routed) max_hops = std::max(max_hops, hops[x]);
+  std::vector<std::size_t> slot(max_hops + 2, 0);
+  for (std::uint32_t x : routed) ++slot[hops[x] + 1];
+  std::partial_sum(slot.begin(), slot.end(), slot.begin());
+  std::vector<std::uint32_t> sources(routed.size());
+  for (std::uint32_t x : routed) sources[slot[hops[x]]++] = x;
+  std::size_t next_source = 0;
+  std::vector<std::uint32_t> settled;  // Phase-3 routes of the last level.
+  std::vector<std::uint32_t> settling;
+  settled.reserve(n);
+  settling.reserve(n);
+  for (unsigned h = 1; next_source < sources.size() || !settled.empty(); ++h) {
+    auto offer = [&](std::uint32_t x) {
+      for (std::uint32_t c : customers_[x]) {
+        if (hops[c] == kUnset) {
+          source[c] = RouteSource::kProvider;
+          hops[c] = h;
+          next[c] = static_cast<std::int32_t>(x);
+          settling.push_back(c);
+        } else if (source[c] == RouteSource::kProvider && hops[c] == h &&
+                   asn_values_[x] <
+                       asn_values_[static_cast<std::size_t>(next[c])]) {
+          next[c] = static_cast<std::int32_t>(x);  // Same level, lower ASN.
+        }
+      }
+    };
+    for (; next_source < sources.size() && hops[sources[next_source]] < h;
+         ++next_source)
+      offer(sources[next_source]);
+    for (std::uint32_t x : settled) offer(x);
+    settled.swap(settling);
+    settling.clear();
   }
 
+  std::vector<bool> reachable(n);
+  for (std::size_t x = 0; x < n; ++x) reachable[x] = hops[x] != kUnset;
   return DestinationRoutes(graph, destination, std::move(source),
                            std::move(hops), std::move(next),
                            std::move(reachable));

@@ -54,7 +54,10 @@ class RouteComputer {
  public:
   explicit RouteComputer(const topology::AsGraph& graph);
 
-  /// Best route of every AS toward `destination`. O(V + E).
+  /// Best route of every AS toward `destination`. O(V + E): a level-by-level
+  /// BFS up provider edges, one pass over the peers of the ASes it reached,
+  /// and a level-by-level BFS down customer edges. Ties at equal hops go to
+  /// the lower next-hop ASN.
   DestinationRoutes routes_to(net::Asn destination) const;
 
   /// Convenience: the single route from `source` toward `destination`.

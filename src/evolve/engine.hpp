@@ -25,6 +25,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -63,7 +64,9 @@ class EpochTimeline {
   std::size_t epoch_count() const { return timeline_.epochs.size(); }
 
   /// The state after epoch k's events. Replays forward (and caches) as
-  /// needed; throws std::out_of_range past the last epoch.
+  /// needed; throws std::out_of_range past the last epoch. The reference
+  /// stays valid for the engine's lifetime: later replays never move a
+  /// cached state.
   const EpochState& state_at(std::size_t k);
 
   /// Epoch k as a world view: base config + base graph + epoch ecosystem.
@@ -98,7 +101,9 @@ class EpochTimeline {
   net::SubnetAllocator lan_pool_;
   std::vector<Stashed> stash_;
 
-  std::vector<EpochState> states_;  ///< Snapshots of epochs [0, size).
+  /// Snapshots of epochs [0, size). A deque, so growing it keeps the
+  /// references state_at() handed out valid.
+  std::deque<EpochState> states_;
 };
 
 /// The from-scratch comparison path: builds a *fresh* base world for the

@@ -508,8 +508,8 @@ std::vector<std::uint8_t> encode_scenario(const core::WorldView& world,
 
   // Force the cone memo before fanning out so its (mutex-guarded) build does
   // not run concurrently with the node/edge encoders.
-  topology::AsGraph::ConeMemo cones;
-  if (options.with_cones) cones = graph.export_cones();
+  const topology::AsGraph::ConeMemo* cones =
+      options.with_cones ? &graph.export_cones() : nullptr;
 
   // One encoder per section; parallel_transform keeps results in slot order,
   // so the assembled bytes are identical at any thread count.
@@ -528,7 +528,7 @@ std::vector<std::uint8_t> encode_scenario(const core::WorldView& world,
   jobs.push_back(
       {kVantageSection, [&world] { return encode_vantage(world); }});
   if (options.with_cones)
-    jobs.push_back({kConesSection, [&cones] { return encode_cones(cones); }});
+    jobs.push_back({kConesSection, [cones] { return encode_cones(*cones); }});
   if (options.rib != nullptr)
     jobs.push_back({kRibSection, [&graph, rib = options.rib] {
                       return encode_rib(graph, *rib);

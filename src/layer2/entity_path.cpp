@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "bgp/route_computer.hpp"
+#include "util/thread_pool.hpp"
 
 namespace rp::layer2 {
 
@@ -135,44 +136,52 @@ const ixp::MemberInterface* attachment_of(const ixp::Ixp& ixp, net::Asn peer) {
   return nullptr;
 }
 
+/// The carrying peer among (peer, IXP) candidates toward the destination of
+/// `routes`: the shortest customer or origin tail (peering traffic stays in
+/// the peer's customer cone, §2.2), ties toward the lower peer ASN, and the
+/// earlier candidate among repeats of one peer.
+std::optional<FlatteningStudy::Assignment> choose_carrier(
+    const bgp::DestinationRoutes& routes,
+    std::span<const std::pair<net::Asn, ixp::IxpId>> candidates) {
+  const std::pair<net::Asn, ixp::IxpId>* chosen = nullptr;
+  unsigned best_hops = std::numeric_limits<unsigned>::max();
+  for (const auto& candidate : candidates) {
+    if (!routes.reachable_from(candidate.first)) continue;
+    const bgp::RouteSource source = routes.source_at(candidate.first);
+    if (source != bgp::RouteSource::kOrigin &&
+        source != bgp::RouteSource::kCustomer)
+      continue;
+    const unsigned hops = routes.path_length_from(candidate.first);
+    if (hops < best_hops || (hops == best_hops && chosen != nullptr &&
+                             candidate.first < chosen->first)) {
+      best_hops = hops;
+      chosen = &candidate;
+    }
+  }
+  if (chosen == nullptr) return std::nullopt;
+  return FlatteningStudy::Assignment{chosen->first, chosen->second,
+                                     *routes.route_from(chosen->first)};
+}
+
 }  // namespace
 
 std::optional<FlatteningStudy::Assignment> FlatteningStudy::assignment_for(
     net::Asn endpoint, std::span<const ixp::IxpId> ixps,
     offload::PeerGroup group) const {
-  const bgp::RouteComputer computer(*graph_);
-  const auto routes = computer.routes_to(endpoint);
-
-  std::optional<Assignment> best;
-  unsigned best_hops = std::numeric_limits<unsigned>::max();
   std::unordered_set<net::Asn> group_peers;
   for (net::Asn peer : analyzer_->peers_in_group(group))
     group_peers.insert(peer);
+  std::vector<std::pair<net::Asn, ixp::IxpId>> candidates;
+  for (ixp::IxpId id : ixps)
+    for (net::Asn member : ecosystem_->ixp(id).member_asns())
+      if (group_peers.contains(member)) candidates.emplace_back(member, id);
 
-  for (ixp::IxpId id : ixps) {
-    for (net::Asn member : ecosystem_->ixp(id).member_asns()) {
-      if (!group_peers.contains(member)) continue;
-      const auto route = routes.route_from(member);
-      if (!route) continue;
-      // Peering traffic is confined to the peer's customer cone (§2.2).
-      if (route->source != bgp::RouteSource::kOrigin &&
-          route->source != bgp::RouteSource::kCustomer)
-        continue;
-      const unsigned hops = route->path_length();
-      if (hops < best_hops ||
-          (hops == best_hops && best && member < best->peer)) {
-        best_hops = hops;
-        best = Assignment{member, id, *route};
-      }
-    }
-  }
-  return best;
+  const bgp::RouteComputer computer(*graph_);
+  return choose_carrier(computer.routes_to(endpoint), candidates);
 }
 
 FlatteningReport FlatteningStudy::compare(std::span<const ixp::IxpId> ixps,
                                           offload::PeerGroup group) const {
-  FlatteningReport report;
-
   // Candidate (peer, first IXP in span order) pairs per offloadable
   // endpoint: expand the cones of every group peer present at a reached IXP.
   std::unordered_set<net::Asn> group_peers;
@@ -193,51 +202,42 @@ FlatteningReport FlatteningStudy::compare(std::span<const ixp::IxpId> ixps,
   const bgp::RouteComputer computer(*graph_);
   const geo::City& home = graph_->node(vantage_).home_city;
 
-  for (const auto& endpoint : analyzer_->transit_endpoints()) {
-    const auto candidate_it = candidates.find(endpoint.asn);
-    if (candidate_it == candidates.end()) continue;  // Not offloadable.
-    const bgp::Route* before_route = rib_->route_to(endpoint.asn);
-    if (before_route == nullptr) continue;
+  // Each endpoint's (before, after) paths are independent: compute them on
+  // the pool, then fold the report serially in endpoint order.
+  const auto& endpoints = analyzer_->transit_endpoints();
+  const auto flows = util::ThreadPool::global().parallel_transform(
+      endpoints.size(),
+      [&](std::size_t i) -> std::optional<std::pair<EntityPath, EntityPath>> {
+        const net::Asn endpoint = endpoints[i].asn;
+        const auto candidate_it = candidates.find(endpoint);
+        if (candidate_it == candidates.end()) return std::nullopt;
+        const bgp::Route* before_route = rib_->route_to(endpoint);
+        if (before_route == nullptr) return std::nullopt;
+        const auto chosen =
+            choose_carrier(computer.routes_to(endpoint), candidate_it->second);
+        if (!chosen) return std::nullopt;
 
-    // Choose the carrying peer: shortest tail, ties toward the lower ASN.
-    const auto routes = computer.routes_to(endpoint.asn);
-    const std::pair<net::Asn, ixp::IxpId>* chosen = nullptr;
-    bgp::Route chosen_tail;
-    unsigned best_hops = std::numeric_limits<unsigned>::max();
-    for (const auto& candidate : candidate_it->second) {
-      const auto tail = routes.route_from(candidate.first);
-      if (!tail) continue;
-      if (tail->source != bgp::RouteSource::kOrigin &&
-          tail->source != bgp::RouteSource::kCustomer)
-        continue;
-      if (tail->path_length() < best_hops ||
-          (tail->path_length() == best_hops && chosen != nullptr &&
-           candidate.first < chosen->first)) {
-        best_hops = tail->path_length();
-        chosen = &candidate;
-        chosen_tail = *tail;
-      }
-    }
-    if (chosen == nullptr) continue;
+        // After: the vantage reaches the IXP remotely; the peer attaches as
+        // its membership record says.
+        const ixp::Ixp& ixp = ecosystem_->ixp(chosen->ixp_id);
+        PeeringMediation mediation;
+        mediation.ixp_id = chosen->ixp_id;
+        mediation.left_kind = ixp::AttachmentKind::kRemoteViaProvider;
+        mediation.left_provider =
+            cheapest_provider(*ecosystem_, home, ixp.city());
+        if (const auto* iface = attachment_of(ixp, chosen->peer)) {
+          mediation.right_kind = iface->kind;
+          mediation.right_provider = iface->provider_index;
+        }
+        return std::pair{paths_.from_bgp_route(*before_route),
+                         paths_.via_peering(mediation, chosen->peer,
+                                            chosen->tail)};
+      });
 
-    // Before: the transit path.
-    const EntityPath before = paths_.from_bgp_route(*before_route);
-
-    // After: the vantage reaches the IXP remotely; the peer attaches as its
-    // membership record says.
-    const ixp::Ixp& ixp = ecosystem_->ixp(chosen->second);
-    PeeringMediation mediation;
-    mediation.ixp_id = chosen->second;
-    mediation.left_kind = ixp::AttachmentKind::kRemoteViaProvider;
-    mediation.left_provider =
-        cheapest_provider(*ecosystem_, home, ixp.city());
-    if (const auto* iface = attachment_of(ixp, chosen->first)) {
-      mediation.right_kind = iface->kind;
-      mediation.right_provider = iface->provider_index;
-    }
-    const EntityPath after =
-        paths_.via_peering(mediation, chosen->first, chosen_tail);
-
+  FlatteningReport report;
+  for (const auto& flow : flows) {
+    if (!flow) continue;
+    const auto& [before, after] = *flow;
     ++report.flows;
     report.mean_l3_before += static_cast<double>(before.l3_intermediaries());
     report.mean_l3_after += static_cast<double>(after.l3_intermediaries());

@@ -5,6 +5,10 @@
 #include <cstdlib>
 #include <unordered_map>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "fault/fault.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -253,6 +257,12 @@ std::vector<IxpMeasurement> CampaignRunner::run(
       out[i] = run_ixp_campaign(*ixps[i], config, rng);
     }
   });
+#if defined(__GLIBC__)
+  // The simulators just freed tens of MB spread over every worker's malloc
+  // arena, where glibc keeps it; a stage that later allocates on another
+  // thread would stack its peak on top. Hand the pages back to the OS.
+  malloc_trim(0);
+#endif
   return out;
 }
 

@@ -472,7 +472,9 @@ void Daemon::dispatcher_loop() {
     // Resolve each item's world spec and group the batch by config digest so
     // every distinct world is acquired (and its artifacts warmed) once.
     std::vector<Response> responses(count);
-    std::vector<bool> done(count, false);
+    // One byte per slot: pool workers set their own entries concurrently,
+    // which vector<bool>'s packed words would turn into a data race.
+    std::vector<std::uint8_t> done(count, 0);
     std::vector<std::shared_ptr<const World>> worlds(count);
     std::vector<core::ScenarioConfig> configs(count);
     std::unordered_map<std::uint64_t, std::vector<std::size_t>> by_digest;

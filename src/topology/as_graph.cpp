@@ -18,9 +18,7 @@ AsGraph& AsGraph::operator=(const AsGraph& other) {
   transit_links_ = other.transit_links_;
   peering_links_ = other.peering_links_;
   cones_built_ = other.cones_built_.load();
-  cone_masks_ = other.cone_masks_;
-  cone_addresses_ = other.cone_addresses_;
-  cone_sizes_ = other.cone_sizes_;
+  cones_ = other.cones_;
   return *this;
 }
 
@@ -34,9 +32,7 @@ AsGraph& AsGraph::operator=(AsGraph&& other) noexcept {
   transit_links_ = other.transit_links_;
   peering_links_ = other.peering_links_;
   cones_built_ = other.cones_built_.load();
-  cone_masks_ = std::move(other.cone_masks_);
-  cone_addresses_ = std::move(other.cone_addresses_);
-  cone_sizes_ = std::move(other.cone_sizes_);
+  cones_ = std::move(other.cones_);
   other.cones_built_ = false;
   return *this;
 }
@@ -139,9 +135,7 @@ util::DynamicBitset bfs_cone_mask(const AsGraph& graph, std::size_t root) {
 void AsGraph::invalidate_cones() {
   std::scoped_lock lock(cone_mutex_);
   cones_built_.store(false, std::memory_order_release);
-  cone_masks_.clear();
-  cone_addresses_.clear();
-  cone_sizes_.clear();
+  cones_ = {};
 }
 
 void AsGraph::ensure_cones() const {
@@ -149,9 +143,9 @@ void AsGraph::ensure_cones() const {
   std::scoped_lock lock(cone_mutex_);
   if (cones_built_.load(std::memory_order_relaxed)) return;
   const std::size_t n = nodes_.size();
-  cone_masks_.assign(n, util::DynamicBitset(n));
-  cone_addresses_.assign(n, 0);
-  cone_sizes_.assign(n, 1);
+  cones_.masks.assign(n, util::DynamicBitset(n));
+  cones_.addresses.assign(n, 0);
+  cones_.sizes.assign(n, 1);
 
   // One reverse-topological sweep: a node's cone is itself plus the union of
   // its customers' cones, so processing customers before providers (Kahn's
@@ -167,15 +161,15 @@ void AsGraph::ensure_cones() const {
   while (!ready.empty()) {
     const std::size_t i = ready.front();
     ready.pop_front();
-    util::DynamicBitset& mask = cone_masks_[i];
+    util::DynamicBitset& mask = cones_.masks[i];
     mask.set(i);
     std::uint64_t addresses = nodes_[i].address_count();
     for (net::Asn customer : adj_[i].customers)
-      mask |= cone_masks_[index_of(customer)];
+      mask |= cones_.masks[index_of(customer)];
     // The address total cannot be summed from child totals (multihomed
     // customers would double-count), so it is re-counted from the mask.
     if (adj_[i].customers.empty()) {
-      cone_addresses_[i] = addresses;
+      cones_.addresses[i] = addresses;
     } else {
       addresses = 0;
       std::size_t members = 0;
@@ -183,8 +177,8 @@ void AsGraph::ensure_cones() const {
         addresses += nodes_[j].address_count();
         ++members;
       });
-      cone_addresses_[i] = addresses;
-      cone_sizes_[i] = members;
+      cones_.addresses[i] = addresses;
+      cones_.sizes[i] = members;
     }
     done[i] = true;
     ++processed;
@@ -200,15 +194,15 @@ void AsGraph::ensure_cones() const {
   if (processed != n) {
     for (std::size_t i = 0; i < n; ++i) {
       if (done[i]) continue;
-      cone_masks_[i] = bfs_cone_mask(*this, i);
+      cones_.masks[i] = bfs_cone_mask(*this, i);
       std::uint64_t addresses = 0;
       std::size_t members = 0;
-      cone_masks_[i].for_each([this, &addresses, &members](std::size_t j) {
+      cones_.masks[i].for_each([this, &addresses, &members](std::size_t j) {
         addresses += nodes_[j].address_count();
         ++members;
       });
-      cone_addresses_[i] = addresses;
-      cone_sizes_[i] = members;
+      cones_.addresses[i] = addresses;
+      cones_.sizes[i] = members;
     }
   }
   cones_built_ = true;
@@ -216,14 +210,14 @@ void AsGraph::ensure_cones() const {
 
 const util::DynamicBitset& AsGraph::cone_mask(std::size_t index) const {
   ensure_cones();
-  return cone_masks_[index];
+  return cones_.masks[index];
 }
 
 std::vector<net::Asn> AsGraph::customer_cone(net::Asn asn) const {
   const std::size_t root = index_of(asn);
   const util::DynamicBitset& mask = cone_mask(root);
   std::vector<net::Asn> cone;
-  cone.reserve(cone_sizes_[root]);
+  cone.reserve(cones_.sizes[root]);
   cone.push_back(asn);
   mask.for_each([this, root, &cone](std::size_t i) {
     if (i != root) cone.push_back(nodes_[i].asn);
@@ -233,7 +227,7 @@ std::vector<net::Asn> AsGraph::customer_cone(net::Asn asn) const {
 
 std::uint64_t AsGraph::cone_address_count(net::Asn asn) const {
   ensure_cones();
-  return cone_addresses_[index_of(asn)];
+  return cones_.addresses[index_of(asn)];
 }
 
 std::uint64_t AsGraph::total_address_count() const {
@@ -388,10 +382,9 @@ AsGraph AsGraph::restore(SnapshotParts parts) {
   return graph;
 }
 
-AsGraph::ConeMemo AsGraph::export_cones() const {
+const AsGraph::ConeMemo& AsGraph::export_cones() const {
   ensure_cones();
-  std::scoped_lock lock(cone_mutex_);
-  return ConeMemo{cone_masks_, cone_addresses_, cone_sizes_};
+  return cones_;
 }
 
 void AsGraph::adopt_cones(ConeMemo memo) {
@@ -403,9 +396,7 @@ void AsGraph::adopt_cones(ConeMemo memo) {
     if (mask.size() != n)
       throw std::invalid_argument("AsGraph::adopt_cones: mask width mismatch");
   std::scoped_lock lock(cone_mutex_);
-  cone_masks_ = std::move(memo.masks);
-  cone_addresses_ = std::move(memo.addresses);
-  cone_sizes_ = std::move(memo.sizes);
+  cones_ = std::move(memo);
   cones_built_.store(true, std::memory_order_release);
 }
 

@@ -127,8 +127,9 @@ class AsGraph {
   bool cones_ready() const {
     return cones_built_.load(std::memory_order_acquire);
   }
-  /// Builds the memo if needed and returns a copy.
-  ConeMemo export_cones() const;
+  /// Builds the memo if needed and returns it. The reference stays valid
+  /// until the next add_as/add_transit/adopt_cones, like cone_mask().
+  const ConeMemo& export_cones() const;
   /// Installs a previously exported memo, skipping the topological sweep.
   /// The memo must come from export_cones() on an identical graph; vector
   /// and bitset dimensions are validated, contents are trusted (snapshot
@@ -159,9 +160,7 @@ class AsGraph {
   // The built flag is atomic so the post-build fast path takes no lock.
   mutable std::mutex cone_mutex_;
   mutable std::atomic<bool> cones_built_ = false;
-  mutable std::vector<util::DynamicBitset> cone_masks_;
-  mutable std::vector<std::uint64_t> cone_addresses_;
-  mutable std::vector<std::size_t> cone_sizes_;
+  mutable ConeMemo cones_;
 };
 
 }  // namespace rp::topology

@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "topology/generator.hpp"
+#include "util/thread_pool.hpp"
 
 namespace rp::flow {
 namespace {
@@ -108,6 +109,30 @@ TEST(RateModel, AggregateSeriesSumsMembers) {
         model.rate_bps(two[1], Direction::kOutbound, bin);
     EXPECT_NEAR(series[bin], expected, expected * 1e-12);
   }
+}
+
+TEST(RateModel, AggregateSeriesBitIdenticalAcrossThreadWidths) {
+  // The series fans bin blocks over the pool; every bin must still sum its
+  // networks in input order, so any width gives the serial doubles exactly.
+  Fixture f;
+  RateModel model(f.matrix, RateModelConfig{});
+  std::vector<net::Asn> all;
+  for (const auto& c : f.matrix.ranked()) all.push_back(c.asn);
+  all.push_back(net::Asn{4200000000u});  // Not in the matrix: contributes 0.
+  std::vector<double> serial(model.bin_count(), 0.0);
+  for (const net::Asn asn : all)
+    for (std::size_t bin = 0; bin < serial.size(); ++bin)
+      serial[bin] += model.rate_bps(asn, Direction::kInbound, bin);
+  std::vector<std::vector<double>> runs;  // (width, direction) order.
+  for (const unsigned threads : {1u, 8u}) {
+    util::ThreadPool::set_global_threads(threads);
+    for (const Direction dir : {Direction::kInbound, Direction::kOutbound})
+      runs.push_back(model.aggregate_series(all, dir));
+  }
+  util::ThreadPool::set_global_threads(0);
+  EXPECT_EQ(runs[0], serial);
+  EXPECT_EQ(runs[0], runs[2]);
+  EXPECT_EQ(runs[1], runs[3]);
 }
 
 TEST(RateModel, SeriesAverageTracksBaseRate) {

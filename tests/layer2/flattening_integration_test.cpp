@@ -6,6 +6,7 @@
 #include "core/scenario.hpp"
 #include "layer2/entity_path.hpp"
 #include "layer2/risk.hpp"
+#include "util/thread_pool.hpp"
 
 namespace rp::layer2 {
 namespace {
@@ -79,6 +80,35 @@ TEST(FlatteningIntegration, AssignmentsRespectConesAndMembership) {
     ++checked;
   }
   EXPECT_GT(checked, 0u);
+}
+
+TEST(FlatteningIntegration, ReportIdenticalAcrossThreadWidths) {
+  // compare() fans endpoints over the pool and folds in endpoint order, so
+  // every field — the means included — must match at any width.
+  Fixture f;
+  FlatteningStudy flattening(f.scenario.graph(), f.scenario.ecosystem(),
+                             f.scenario.vantage(), f.study.rib(),
+                             f.study.analyzer());
+  const auto everywhere = f.study.analyzer().all_ixps();
+  std::vector<FlatteningReport> reports;
+  for (const unsigned threads : {1u, 8u}) {
+    util::ThreadPool::set_global_threads(threads);
+    reports.push_back(flattening.compare(everywhere, offload::PeerGroup::kAll));
+  }
+  util::ThreadPool::set_global_threads(0);
+  const FlatteningReport& narrow = reports[0];
+  const FlatteningReport& wide = reports[1];
+  ASSERT_GT(narrow.flows, 10u);
+  EXPECT_EQ(narrow.flows, wide.flows);
+  EXPECT_EQ(narrow.mean_l3_before, wide.mean_l3_before);
+  EXPECT_EQ(narrow.mean_l3_after, wide.mean_l3_after);
+  EXPECT_EQ(narrow.mean_org_before, wide.mean_org_before);
+  EXPECT_EQ(narrow.mean_org_after, wide.mean_org_after);
+  EXPECT_EQ(narrow.l3_flatter, wide.l3_flatter);
+  EXPECT_EQ(narrow.org_not_flatter, wide.org_not_flatter);
+  EXPECT_EQ(narrow.with_invisible_intermediaries,
+            wide.with_invisible_intermediaries);
+  EXPECT_EQ(narrow.mean_invisible_after, wide.mean_invisible_after);
 }
 
 TEST(FlatteningIntegration, RiskOrderingOnGeneratedWorld) {
