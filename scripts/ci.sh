@@ -173,7 +173,8 @@ obs_smoke() {
   local metric
   for metric in rp.core.scenario.builds rp.pool.parallel_for.calls \
                 rp.bgp.routes.computed rp.measure.probes.sent \
-                rp.offload.greedy.steps rp.io.bytes_written; do
+                rp.offload.greedy.steps rp.io.bytes_written \
+                rp.sim.frames.flooded rp.sim.frames.delivered; do
     grep -q "\"$metric\"" "$dir/metrics.json"
     grep -q "$metric" "$dir/rpstat.log"
   done
@@ -315,10 +316,13 @@ for key in ("stats.uptime_s", "stats.completed", "stats.ring_capacity",
             "pool.capacity", "pool.resident", "pool.worlds",
             "pool.world.0.digest", "pool.world.0.resident_bytes",
             "req.ping.count", "req.ping.p50_us", "req.ping.p99_us",
-            "ts.samples", "ts.interval_ms"):
+            "ts.samples", "ts.interval_ms", "rp.serve.readers.live"):
     assert key in stats, (key, sorted(stats))
 assert stats["req.ping.count"] >= 1, stats
 assert stats["pool.world.0.resident_bytes"] > 0, stats
+# Finished rpq connections are reaped: at most the previous call's reader
+# (which may not have seen its hang-up yet) and this one stay.
+assert stats["rp.serve.readers.live"] <= 2, stats
 EOF
   # ...--prom must be well-formed text exposition: TYPE line + matching
   # numeric sample, nothing else, and only numeric rows exported.

@@ -218,6 +218,7 @@ IxpMeasurement run_ixp_campaign(const ixp::Ixp& ixp,
     campaigns.add();
     probes.add(samples);
     probed.add(measurement.interfaces.size());
+    testbed.frame_totals().record();
   }
   return measurement;
 }

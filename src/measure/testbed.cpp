@@ -43,14 +43,19 @@ IxpTestbed::IxpTestbed(const ixp::Ixp& ixp, const FaultPlan& faults,
     if (site > 0) {
       const auto trunk = uniform_delay(config.inter_site_delay_min,
                                        config.inter_site_delay_max, rng);
-      network_.connect(*fabric_sites_[0], *fabric_sites_[site], trunk,
-                       std::make_unique<sim::QueueJitter>(
-                           util::SimDuration::micros(10), 0.5));
+      network_.connect(
+          *fabric_sites_[0], *fabric_sites_[site], trunk,
+          sim::LinkNoise{sim::QueueJitter(util::SimDuration::micros(10), 0.5),
+                         {}});
     }
   }
   auto site_for = [this, &rng]() -> sim::L2Switch& {
     return *fabric_sites_[rng.uniform_int(0, fabric_sites_.size() - 1)];
   };
+
+  // In-facility links of the LGs and the route server: light jitter only.
+  const sim::LinkNoise lg_noise{
+      sim::QueueJitter(util::SimDuration::micros(5), 0.4), {}};
 
   // Looking glasses first: member fault configs may reference their
   // addresses (LG-asymmetric paths).
@@ -69,9 +74,7 @@ IxpTestbed::IxpTestbed(const ixp::Ixp& ixp, const FaultPlan& faults,
     sim::L2Switch& lg_site = lg_hosts_.empty()
                                  ? *fabric_sites_.front()
                                  : *fabric_sites_.back();
-    network_.connect(lg_site, host, config.lg_link_delay,
-                     std::make_unique<sim::QueueJitter>(
-                         util::SimDuration::micros(5), 0.4));
+    network_.connect(lg_site, host, config.lg_link_delay, lg_noise);
     lg_hosts_[lg.op] = &host;
   }
 
@@ -88,8 +91,7 @@ IxpTestbed::IxpTestbed(const ixp::Ixp& ixp, const FaultPlan& faults,
     auto& host = network_.emplace_device<sim::Host>(sim_, rs_config,
                                                     rng.fork(0xF00D));
     network_.connect(*fabric_sites_.front(), host, config.lg_link_delay,
-                     std::make_unique<sim::QueueJitter>(
-                         util::SimDuration::micros(5), 0.4));
+                     lg_noise);
     route_server_ = &host;
   }
 
@@ -145,21 +147,17 @@ IxpTestbed::IxpTestbed(const ixp::Ixp& ixp, const FaultPlan& faults,
         break;
     }
 
-    std::vector<std::unique_ptr<sim::DelayModel>> parts;
-    parts.push_back(std::make_unique<sim::QueueJitter>(
-        config.queue_jitter_median, config.queue_jitter_sigma));
+    sim::LinkNoise noise{
+        sim::QueueJitter(config.queue_jitter_median, config.queue_jitter_sigma),
+        {}};
     if (fault.persistent_congestion) {
-      parts.push_back(std::make_unique<sim::PersistentCongestion>(
-          config.persistent_congestion_min, config.persistent_congestion_max));
+      noise.congestion = sim::PersistentCongestion(
+          config.persistent_congestion_min, config.persistent_congestion_max);
     } else if (rng.chance(config.busy_hour_fraction)) {
-      parts.push_back(sim::CongestionEpisodes::daily_busy_hours(
+      noise.congestion = sim::CongestionEpisodes::daily_busy_hours(
           campaign_start, campaign_length, config.busy_hour_offset,
-          config.busy_hour_length, config.busy_hour_mean_extra));
+          config.busy_hour_length, config.busy_hour_mean_extra);
     }
-    std::unique_ptr<sim::DelayModel> noise =
-        parts.size() == 1
-            ? std::move(parts.front())
-            : std::make_unique<sim::CompositeDelay>(std::move(parts));
 
     network_.connect(site_for(), host, base, std::move(noise));
     member_hosts_[iface.addr] = &host;

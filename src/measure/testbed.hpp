@@ -79,6 +79,11 @@ class IxpTestbed {
   /// Number of fabric switches built (== the IXP's site count).
   std::size_t site_count() const { return fabric_sites_.size(); }
 
+  /// Frame totals of the fabric so far (see sim::FrameTotals).
+  sim::FrameTotals frame_totals() const {
+    return sim::FrameTotals::of(network_, fabric_sites_);
+  }
+
  private:
   sim::Simulator sim_;
   sim::Network network_;

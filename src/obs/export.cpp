@@ -82,7 +82,8 @@ void write_metrics_json(std::ostream& os,
 std::string prometheus_metric_name(const std::string& key) {
   std::string name;
   name.reserve(key.size() + 3);
-  if (key.rfind("rp_", 0) != 0) name = "rp_";
+  // Registry names ("rp.serve.readers.live") already carry the namespace.
+  if (key.rfind("rp_", 0) != 0 && key.rfind("rp.", 0) != 0) name = "rp_";
   for (char c : key) {
     const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
                     (c >= '0' && c <= '9') || c == '_' || c == ':';

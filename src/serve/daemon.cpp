@@ -45,6 +45,10 @@ obs::Counter& busy_counter() {
   static obs::Counter c("rp.serve.busy", obs::Stability::kScheduling);
   return c;
 }
+obs::Gauge& live_readers_gauge() {
+  static obs::Gauge g("rp.serve.readers.live", obs::Stability::kScheduling);
+  return g;
+}
 obs::Counter& responses_counter() {
   static obs::Counter c("rp.serve.responses.sent");
   return c;
@@ -294,16 +298,16 @@ void Daemon::stop() {
   queue_.stop();
   if (dispatcher_thread_.joinable()) dispatcher_thread_.join();
 
-  std::vector<std::shared_ptr<Connection>> connections;
-  std::vector<std::thread> readers;
+  std::list<Reader> readers;
   {
     std::lock_guard<std::mutex> lock(conn_mutex_);
-    connections.swap(connections_);
-    readers.swap(readers_);
+    readers.swap(readers_);  // Nodes move intact: each thread's flag stays put.
   }
-  for (auto& connection : connections) connection->kill();
+  for (auto& reader : readers) reader.connection->kill();
   for (auto& reader : readers)
-    if (reader.joinable()) reader.join();
+    if (reader.thread.joinable()) reader.thread.join();
+  live_readers_.store(0, std::memory_order_relaxed);
+  live_readers_gauge().set(0);
 
   // Disarm what start() armed (metrics stay on: other components may share
   // the flag, and a stopped daemon recording nothing costs nothing).
@@ -332,9 +336,26 @@ void Daemon::accept_loop() {
     auto connection = std::make_shared<Connection>(fd);
     accepted_counter().add();
     std::lock_guard<std::mutex> lock(conn_mutex_);
-    connections_.push_back(connection);
-    readers_.emplace_back(
-        [this, connection] { reader_loop(connection); });
+    reap_finished_readers();
+    Reader& reader = readers_.emplace_back();
+    reader.connection = connection;
+    reader.thread = std::thread([this, connection, &reader] {
+      reader_loop(connection);
+      reader.finished.store(true, std::memory_order_release);
+    });
+    live_readers_.store(readers_.size(), std::memory_order_relaxed);
+    live_readers_gauge().set(static_cast<double>(readers_.size()));
+  }
+}
+
+void Daemon::reap_finished_readers() {
+  for (auto it = readers_.begin(); it != readers_.end();) {
+    if (!it->finished.load(std::memory_order_acquire)) {
+      ++it;
+      continue;
+    }
+    it->thread.join();
+    it = readers_.erase(it);
   }
 }
 

@@ -24,6 +24,11 @@
 // batching, thread count, and client interleaving only affect latency,
 // never bytes.
 //
+// Reaping: each reader marks itself finished as its last act; before a new
+// connection is added, the accept thread joins and erases every finished
+// reader and its connection, so a long-lived daemon holds only the threads
+// of live connections. rp.serve.readers.live gauges that count.
+//
 // Observability: rp.serve.* counters, rp.serve.batch.occupancy /
 // .request_ns / .exec_ns histograms, per-phase rp.serve.phase.{queue,pool,
 // compute,write}_ns histograms, and serve.accept / serve.parse / serve.exec
@@ -47,6 +52,7 @@
 #include <cstdint>
 #include <deque>
 #include <filesystem>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -176,7 +182,17 @@ class Daemon {
   Response stats_response(std::uint64_t window) const;
 
  private:
+  /// A reader thread and the connection it serves. The thread sets
+  /// `finished` as its last act, so joining it then never blocks for long.
+  struct Reader {
+    std::shared_ptr<Connection> connection;
+    std::thread thread;
+    std::atomic<bool> finished{false};
+  };
+
   void accept_loop();
+  /// Joins and erases every finished reader. Caller holds conn_mutex_.
+  void reap_finished_readers();
   void reader_loop(std::shared_ptr<Connection> connection);
   void dispatcher_loop();
   void handle_frame(const std::shared_ptr<Connection>& connection,
@@ -195,8 +211,8 @@ class Daemon {
   std::thread accept_thread_;
   std::thread dispatcher_thread_;
   std::mutex conn_mutex_;
-  std::vector<std::shared_ptr<Connection>> connections_;
-  std::vector<std::thread> readers_;
+  std::list<Reader> readers_;  ///< Stable nodes: each thread flags its own.
+  std::atomic<std::size_t> live_readers_{0};  ///< readers_.size(), lock-free.
 
   std::mutex shutdown_mutex_;
   std::condition_variable shutdown_cv_;

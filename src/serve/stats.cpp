@@ -6,6 +6,7 @@
 // formatted):
 //   stats.uptime_s / stats.completed / stats.ring_capacity
 //   queue.depth / queue.capacity / queue.high_water
+//   rp.serve.readers.live   reader threads held (the gauge of that name)
 //   pool.capacity / pool.resident / pool.worlds
 //   pool.world.<i>.{digest,hits,ready,resident_bytes,last_used}
 //       (most recently used first — the order WorldPool::entry_stats yields)
@@ -90,6 +91,8 @@ Response Daemon::stats_response(std::uint64_t window) const {
   emit_u64(response, "queue.depth", queue_.size());
   emit_u64(response, "queue.capacity", queue_.capacity());
   emit_u64(response, "queue.high_water", queue_.high_water());
+  emit_u64(response, "rp.serve.readers.live",
+           live_readers_.load(std::memory_order_relaxed));
 
   const std::vector<WorldPool::EntryStats> entries = pool_.entry_stats();
   emit_u64(response, "pool.capacity", pool_.capacity());

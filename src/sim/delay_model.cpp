@@ -7,7 +7,8 @@ namespace rp::sim {
 QueueJitter::QueueJitter(util::SimDuration median, double sigma)
     : mu_(std::log(median.as_seconds_f())), sigma_(sigma) {}
 
-util::SimDuration QueueJitter::sample(util::SimTime /*now*/, util::Rng& rng) {
+util::SimDuration QueueJitter::sample(util::SimTime /*now*/,
+                                      util::Rng& rng) const {
   return util::SimDuration::from_seconds_f(rng.lognormal(mu_, sigma_));
 }
 
@@ -15,7 +16,7 @@ CongestionEpisodes::CongestionEpisodes(std::vector<Episode> episodes)
     : episodes_(std::move(episodes)) {}
 
 util::SimDuration CongestionEpisodes::sample(util::SimTime now,
-                                             util::Rng& rng) {
+                                             util::Rng& rng) const {
   for (const auto& episode : episodes_) {
     if (now >= episode.start && now < episode.end)
       return util::SimDuration::from_seconds_f(
@@ -24,7 +25,7 @@ util::SimDuration CongestionEpisodes::sample(util::SimTime now,
   return util::SimDuration::nanos(0);
 }
 
-std::unique_ptr<CongestionEpisodes> CongestionEpisodes::daily_busy_hours(
+CongestionEpisodes CongestionEpisodes::daily_busy_hours(
     util::SimTime campaign_start, util::SimDuration campaign_length,
     util::SimDuration busy_start_offset, util::SimDuration busy_length,
     util::SimDuration mean_extra) {
@@ -36,7 +37,7 @@ std::unique_ptr<CongestionEpisodes> CongestionEpisodes::daily_busy_hours(
                                campaign_start + offset + busy_length,
                                mean_extra});
   }
-  return std::make_unique<CongestionEpisodes>(std::move(episodes));
+  return CongestionEpisodes(std::move(episodes));
 }
 
 PersistentCongestion::PersistentCongestion(util::SimDuration min_extra,
@@ -44,18 +45,9 @@ PersistentCongestion::PersistentCongestion(util::SimDuration min_extra,
     : min_extra_(min_extra), max_extra_(max_extra) {}
 
 util::SimDuration PersistentCongestion::sample(util::SimTime /*now*/,
-                                               util::Rng& rng) {
+                                               util::Rng& rng) const {
   return util::SimDuration::from_seconds_f(rng.uniform(
       min_extra_.as_seconds_f(), max_extra_.as_seconds_f()));
-}
-
-CompositeDelay::CompositeDelay(std::vector<std::unique_ptr<DelayModel>> parts)
-    : parts_(std::move(parts)) {}
-
-util::SimDuration CompositeDelay::sample(util::SimTime now, util::Rng& rng) {
-  util::SimDuration total = util::SimDuration::nanos(0);
-  for (auto& part : parts_) total += part->sample(now, rng);
-  return total;
 }
 
 }  // namespace rp::sim

@@ -38,10 +38,35 @@ void Host::receive(std::size_t /*ifindex*/, const EthernetFrame& frame) {
   if (frame.is_ipv4()) handle_ipv4(frame.ipv4());
 }
 
+namespace {
+
+/// First entry of the sorted ARP table whose address is not below `ip`.
+template <typename Table>
+auto arp_slot(Table& table, net::Ipv4Addr ip) {
+  return std::lower_bound(
+      table.begin(), table.end(), ip,
+      [](const auto& entry, net::Ipv4Addr key) { return entry.first < key; });
+}
+
+}  // namespace
+
+const net::MacAddr* Host::arp_lookup(net::Ipv4Addr ip) const {
+  const auto it = arp_slot(arp_cache_, ip);
+  return it != arp_cache_.end() && it->first == ip ? &it->second : nullptr;
+}
+
+void Host::arp_learn(net::Ipv4Addr ip, net::MacAddr mac) {
+  const auto it = arp_slot(arp_cache_, ip);
+  if (it != arp_cache_.end() && it->first == ip)
+    it->second = mac;
+  else
+    arp_cache_.emplace(it, ip, mac);
+}
+
 void Host::handle_arp(const ArpMessage& arp) {
   // Gratuitously cache the sender's mapping (hosts in a LAN learn the
   // requester's address from the broadcast request itself).
-  arp_cache_[arp.sender_ip] = arp.sender_mac;
+  arp_learn(arp.sender_ip, arp.sender_mac);
 
   if (arp.op == ArpMessage::Op::kRequest && arp.target_ip == config_.ip) {
     EthernetFrame reply;
@@ -94,8 +119,8 @@ void Host::handle_ipv4(const Ipv4Packet& packet) {
 }
 
 void Host::answer_echo(const Ipv4Packet& request) {
-  const auto requester_mac = arp_cache_.find(request.src);
-  if (requester_mac == arp_cache_.end()) return;  // Can't route the reply.
+  const net::MacAddr* requester_mac = arp_lookup(request.src);
+  if (requester_mac == nullptr) return;  // Can't route the reply.
 
   Ipv4Packet reply;
   reply.dst = request.src;
@@ -124,7 +149,7 @@ void Host::answer_echo(const Ipv4Packet& request) {
 
   EthernetFrame frame;
   frame.src = config_.mac;
-  frame.dst = requester_mac->second;
+  frame.dst = *requester_mac;
   frame.payload = reply;
   auto send = [this, frame] { transmit(0, frame); };
   static_assert(Simulator::stored_inline<decltype(send)>(),
@@ -161,9 +186,8 @@ void Host::ping(net::Ipv4Addr target, util::SimDuration timeout,
     cb(outcome);
   });
 
-  const auto mac = arp_cache_.find(target);
-  if (mac != arp_cache_.end()) {
-    send_echo_to(mac->second, target, sequence);
+  if (const net::MacAddr* mac = arp_lookup(target)) {
+    send_echo_to(*mac, target, sequence);
     return;
   }
   const bool arp_in_flight = awaiting_arp_.contains(target);

@@ -93,6 +93,11 @@ class Host : public Device {
     std::uint16_t sequence;
   };
 
+  /// The learned MAC for `ip`, or nullptr when unresolved.
+  const net::MacAddr* arp_lookup(net::Ipv4Addr ip) const;
+  /// Inserts or overwrites the mapping for `ip`.
+  void arp_learn(net::Ipv4Addr ip, net::MacAddr mac);
+
   void handle_arp(const ArpMessage& arp);
   void handle_ipv4(const Ipv4Packet& packet);
   void answer_echo(const Ipv4Packet& request);
@@ -107,7 +112,14 @@ class Host : public Device {
   bool attached_ = false;
   std::uint16_t icmp_id_;
   std::uint16_t next_sequence_ = 1;
-  std::unordered_map<net::Ipv4Addr, net::MacAddr> arp_cache_;
+  /// ARP cache as a flat (ip, mac) table sorted by address. Every flooded
+  /// ARP request refreshes the requester's entry in every host, once per
+  /// flood copy, so a refresh is an in-place update with no hashing and no
+  /// allocation. In a campaign only the LG and route-server hosts send
+  /// requests, so a member host's table holds at most 3 entries; a prober's
+  /// holds one per resolved target, and bisection keeps its lookups
+  /// logarithmic.
+  std::vector<std::pair<net::Ipv4Addr, net::MacAddr>> arp_cache_;
   std::unordered_map<net::Ipv4Addr, std::vector<PendingEcho>> awaiting_arp_;
   std::unordered_map<std::uint16_t, Outstanding> outstanding_;
   std::uint64_t echo_requests_received_ = 0;

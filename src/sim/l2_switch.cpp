@@ -1,5 +1,7 @@
 #include "sim/l2_switch.hpp"
 
+#include "obs/metrics.hpp"
+
 namespace rp::sim {
 
 void L2Switch::receive(std::size_t ifindex, const EthernetFrame& frame) {
@@ -20,6 +22,32 @@ void L2Switch::receive(std::size_t ifindex, const EthernetFrame& frame) {
   ++frames_flooded_;
   for (std::size_t port = 0; port < port_count_; ++port)
     if (port != ifindex) transmit(port, frame);
+}
+
+FrameTotals FrameTotals::of(const Network& network,
+                            std::span<const L2Switch* const> switches) {
+  FrameTotals totals;
+  for (const L2Switch* sw : switches) {
+    totals.flooded += sw->frames_flooded();
+    totals.forwarded += sw->frames_forwarded();
+  }
+  for (const auto& link : network.links()) {
+    totals.delivered += link->frames_delivered();
+    totals.dropped += link->frames_dropped();
+  }
+  return totals;
+}
+
+void FrameTotals::record() const {
+  if (!obs::metrics_enabled()) return;
+  static obs::Counter flooded_counter("rp.sim.frames.flooded");
+  static obs::Counter forwarded_counter("rp.sim.frames.forwarded");
+  static obs::Counter delivered_counter("rp.sim.frames.delivered");
+  static obs::Counter dropped_counter("rp.sim.frames.dropped");
+  flooded_counter.add(flooded);
+  forwarded_counter.add(forwarded);
+  delivered_counter.add(delivered);
+  dropped_counter.add(dropped);
 }
 
 }  // namespace rp::sim

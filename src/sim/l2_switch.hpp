@@ -8,6 +8,8 @@
 // remoteness is invisible at layers 2-3 and must be inferred from delay.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <unordered_map>
 
 #include "sim/link.hpp"
@@ -31,6 +33,25 @@ class L2Switch : public Device {
   std::unordered_map<net::MacAddr, std::size_t> mac_table_;
   std::uint64_t frames_forwarded_ = 0;
   std::uint64_t frames_flooded_ = 0;
+};
+
+/// Frame totals of one fabric after a run: floods and forwards of its
+/// switches (one per frame a switch handled, however many ports a flood
+/// reached), deliveries and drops of every link (one per copy). Folded from
+/// the per-instance counters after the run, so the per-frame path pays
+/// nothing, and a pure function of the run's inputs.
+struct FrameTotals {
+  std::uint64_t flooded = 0;
+  std::uint64_t forwarded = 0;
+  std::uint64_t delivered = 0;
+  std::uint64_t dropped = 0;
+
+  static FrameTotals of(const Network& network,
+                        std::span<const L2Switch* const> switches);
+
+  /// Adds the totals to the deterministic rp.sim.frames.{flooded,forwarded,
+  /// delivered,dropped} counters (no-op while metrics are disabled).
+  void record() const;
 };
 
 }  // namespace rp::sim

@@ -11,12 +11,11 @@ void Device::transmit(std::size_t ifindex, const EthernetFrame& frame) {
   attachment.link->transmit(attachment.side, frame);
 }
 
-Link::Link(Simulator& sim, util::SimDuration base_delay,
-           std::unique_ptr<DelayModel> extra_delay, double loss_probability,
-           util::Rng rng)
+Link::Link(Simulator& sim, util::SimDuration base_delay, LinkNoise noise,
+           double loss_probability, util::Rng rng)
     : sim_(&sim),
       base_delay_(base_delay),
-      extra_delay_(std::move(extra_delay)),
+      noise_(std::move(noise)),
       loss_probability_(loss_probability),
       rng_(rng) {}
 
@@ -29,8 +28,8 @@ void Link::transmit(int from_side, const EthernetFrame& frame) {
     ++frames_dropped_;
     return;
   }
-  util::SimDuration delay = base_delay_;
-  if (extra_delay_) delay += extra_delay_->sample(sim_->now(), rng_);
+  const util::SimDuration delay =
+      base_delay_ + noise_.sample(sim_->now(), rng_);
   // The ifindex travels as u32 so the delivery closure packs into one slab
   // slot — this is the single hottest event kind, one per frame per hop.
   const auto ifindex = static_cast<std::uint32_t>(ifindex_[to_side]);
@@ -42,9 +41,8 @@ void Link::transmit(int from_side, const EthernetFrame& frame) {
 }
 
 Link& Network::connect(Device& a, Device& b, util::SimDuration base_delay,
-                       std::unique_ptr<DelayModel> extra_delay,
-                       double loss_probability) {
-  auto link = std::make_unique<Link>(*sim_, base_delay, std::move(extra_delay),
+                       LinkNoise noise, double loss_probability) {
+  auto link = std::make_unique<Link>(*sim_, base_delay, std::move(noise),
                                      loss_probability,
                                      noise_rng_.fork(links_.size() + 1));
   Link& ref = *link;

@@ -2,9 +2,10 @@
 //
 // A Network owns devices (switches, hosts) and the links between them. Links
 // deliver Ethernet frames after a configurable one-way delay — derived from
-// geography for member circuits — plus optional stochastic extra delay from a
-// DelayModel and optional loss. Delivery is a scheduled simulator event, so
-// the whole fabric is deterministic given the scenario seed.
+// geography for member circuits — plus optional stochastic extra delay (a
+// LinkNoise held inside the link) and optional loss. Delivery is a scheduled
+// simulator event, so the whole fabric is deterministic given the scenario
+// seed.
 #pragma once
 
 #include <memory>
@@ -52,12 +53,13 @@ class Device {
 };
 
 /// A point-to-point link with one-way base delay, optional stochastic extra
-/// delay, and optional frame loss.
+/// delay, and optional frame loss. Per frame the link draws, from its own
+/// RNG stream and in this order: loss (only when loss_probability > 0), then
+/// the LinkNoise parts (see its draw-order contract).
 class Link {
  public:
-  Link(Simulator& sim, util::SimDuration base_delay,
-       std::unique_ptr<DelayModel> extra_delay, double loss_probability,
-       util::Rng rng);
+  Link(Simulator& sim, util::SimDuration base_delay, LinkNoise noise,
+       double loss_probability, util::Rng rng);
 
   util::SimDuration base_delay() const { return base_delay_; }
   std::uint64_t frames_delivered() const { return frames_delivered_; }
@@ -72,7 +74,7 @@ class Link {
 
   Simulator* sim_;
   util::SimDuration base_delay_;
-  std::unique_ptr<DelayModel> extra_delay_;
+  LinkNoise noise_;
   double loss_probability_;
   util::Rng rng_;
   Device* device_[2] = {nullptr, nullptr};
@@ -99,11 +101,11 @@ class Network {
 
   /// Connects two devices with a fresh link; each side gets a new interface.
   Link& connect(Device& a, Device& b, util::SimDuration base_delay,
-                std::unique_ptr<DelayModel> extra_delay = nullptr,
-                double loss_probability = 0.0);
+                LinkNoise noise = {}, double loss_probability = 0.0);
 
   std::size_t device_count() const { return devices_.size(); }
   std::size_t link_count() const { return links_.size(); }
+  const std::vector<std::unique_ptr<Link>>& links() const { return links_; }
 
   /// Deterministic per-link RNG seeds derive from this stream.
   void seed_noise(util::Rng rng) { noise_rng_ = rng; }

@@ -4,18 +4,16 @@
 // and the LG-consistent filter must tolerate LGs at different sites.
 #include <gtest/gtest.h>
 
-#include "geo/cities.hpp"
 #include "measure/campaign.hpp"
 #include "measure/classifier.hpp"
 #include "measure/filters.hpp"
-#include "net/subnet_allocator.hpp"
+#include "test_worlds.hpp"
 
 namespace rp::measure {
 namespace {
 
-const geo::City& city(const char* name) {
-  return geo::CityRegistry::world().at(name);
-}
+using test_worlds::city;
+using test_worlds::multi_site_ixp;
 
 CampaignConfig clean_campaign() {
   CampaignConfig config;
@@ -34,37 +32,6 @@ CampaignConfig clean_campaign() {
   config.faults.unidentified_rate = 0.0;
   config.faults.lossy_rate = 0.0;
   return config;
-}
-
-ixp::Ixp multi_site_ixp(int sites, int direct_members, int remote_members) {
-  ixp::Ixp ixp(0, "MULTI", "Multi-site Exchange", city("Moscow"), 1.3,
-               *net::Ipv4Prefix::parse("198.18.4.0/24"));
-  ixp.set_site_count(sites);
-  net::HostAllocator addrs(ixp.peering_lan());
-  ixp.add_looking_glass(ixp::LookingGlass::pch(addrs.allocate()));
-  ixp.add_looking_glass(ixp::LookingGlass::ripe(addrs.allocate()));
-  std::uint32_t serial = 1;
-  for (int i = 0; i < direct_members; ++i) {
-    ixp::MemberInterface iface;
-    iface.asn = net::Asn{1000 + serial};
-    iface.addr = addrs.allocate();
-    iface.mac = net::MacAddr::from_id(serial++);
-    iface.kind = ixp::AttachmentKind::kDirectColo;
-    iface.equipment_city = ixp.city();
-    ixp.add_interface(iface);
-  }
-  for (int i = 0; i < remote_members; ++i) {
-    ixp::MemberInterface iface;
-    iface.asn = net::Asn{2000 + serial};
-    iface.addr = addrs.allocate();
-    iface.mac = net::MacAddr::from_id(serial++);
-    iface.kind = ixp::AttachmentKind::kRemoteViaProvider;
-    iface.equipment_city = city("Frankfurt");
-    iface.circuit_one_way = geo::propagation_delay(
-        iface.equipment_city.position, ixp.city().position, 1.5);
-    ixp.add_interface(iface);
-  }
-  return ixp;
 }
 
 TEST(MultiSite, SetSiteCountValidates) {

@@ -12,54 +12,14 @@
 #include <string>
 #include <vector>
 
-#include "geo/cities.hpp"
 #include "measure/dataset_io.hpp"
-#include "net/subnet_allocator.hpp"
+#include "test_worlds.hpp"
 #include "util/thread_pool.hpp"
 
 namespace rp::measure {
 namespace {
 
-const geo::City& city(const char* name) {
-  return geo::CityRegistry::world().at(name);
-}
-
-/// A small but non-trivial world: 56 IXPs (the acceptance bar is >= 50),
-/// each with both LG kinds and a local/remote member mix.
-std::vector<ixp::Ixp> build_world() {
-  const char* const cities[] = {"Amsterdam", "London",   "Frankfurt",
-                                "Budapest",  "New York", "Hong Kong",
-                                "Tokyo"};
-  std::vector<ixp::Ixp> ixps;
-  for (std::uint32_t i = 0; i < 56; ++i) {
-    const char* home = cities[i % 5];  // IXPs sit in the first five cities.
-    ixp::Ixp ixp{i, "IX" + std::to_string(i), "Exchange " + std::to_string(i),
-                 city(home), 0.5,
-                 net::Ipv4Prefix::make(net::Ipv4Addr(198, 18, i, 0), 24)};
-    net::HostAllocator addrs{ixp.peering_lan()};
-    ixp.add_looking_glass(ixp::LookingGlass::pch(addrs.allocate()));
-    ixp.add_looking_glass(ixp::LookingGlass::ripe(addrs.allocate()));
-    std::uint32_t serial = 1;
-    for (std::uint32_t m = 0; m < 3 + i % 3; ++m) {
-      ixp::MemberInterface iface;
-      iface.asn = net::Asn{64500 + 100 * i + m};
-      iface.addr = addrs.allocate();
-      iface.mac = net::MacAddr::from_id(1000 * i + serial++);
-      if (m % 3 == 2) {
-        iface.kind = ixp::AttachmentKind::kRemoteViaProvider;
-        iface.equipment_city = city(cities[(i + m) % 7]);
-        iface.circuit_one_way = geo::propagation_delay(
-            iface.equipment_city.position, ixp.city().position, 1.5);
-      } else {
-        iface.kind = ixp::AttachmentKind::kDirectColo;
-        iface.equipment_city = ixp.city();
-      }
-      ixp.add_interface(iface);
-    }
-    ixps.push_back(std::move(ixp));
-  }
-  return ixps;
-}
+using test_worlds::batch_world;
 
 CampaignConfig short_campaign() {
   CampaignConfig config;
@@ -98,7 +58,7 @@ class ShardDeterminismTest : public testing::Test {
 };
 
 TEST_F(ShardDeterminismTest, AllIxpBatchIsByteIdenticalAcrossThreadsAndShards) {
-  const std::vector<ixp::Ixp> world = build_world();
+  const std::vector<ixp::Ixp> world = batch_world();
   std::vector<const ixp::Ixp*> ixps;
   for (const auto& ixp : world) ixps.push_back(&ixp);
   ASSERT_GE(ixps.size(), 50u);
@@ -124,7 +84,7 @@ TEST_F(ShardDeterminismTest, AllIxpBatchIsByteIdenticalAcrossThreadsAndShards) {
 }
 
 TEST_F(ShardDeterminismTest, SubmissionOrderOnlyPermutesTheOutput) {
-  const std::vector<ixp::Ixp> world = build_world();
+  const std::vector<ixp::Ixp> world = batch_world();
   std::vector<const ixp::Ixp*> forward;
   for (const auto& ixp : world) forward.push_back(&ixp);
   std::vector<const ixp::Ixp*> reversed(forward.rbegin(), forward.rend());
@@ -156,7 +116,7 @@ TEST_F(ShardDeterminismTest, ConfiguredShardsParsesTheEnvironment) {
   EXPECT_EQ(CampaignRunner::configured_shards(), 0u);  // Default fan-out.
 
   // The env setting feeds the shards=0 path and preserves the bytes.
-  const std::vector<ixp::Ixp> world = build_world();
+  const std::vector<ixp::Ixp> world = batch_world();
   std::vector<const ixp::Ixp*> ixps;
   for (const auto& ixp : world) ixps.push_back(&ixp);
   util::ThreadPool::set_global_threads(4);

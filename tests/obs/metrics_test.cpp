@@ -28,6 +28,14 @@ const MetricValue* find(const std::vector<MetricValue>& snapshot,
   return nullptr;
 }
 
+/// Looks `name` up in a fresh registry snapshot, which stays alive until
+/// the next call (a pointer into a temporary snapshot would dangle).
+const MetricValue* find_now(const std::string& name) {
+  static std::vector<MetricValue> snapshot;
+  snapshot = MetricsRegistry::global().snapshot();
+  return find(snapshot, name);
+}
+
 TEST(Metrics, CounterSumsExactlyAcrossThreads) {
   MetricsOn on;
   MetricsRegistry::global().reset();
@@ -136,8 +144,7 @@ TEST(Metrics, QuantileDegenerateCases) {
   MetricsOn on;
   MetricsRegistry::global().reset();
   Histogram histogram("test.metrics.quantile_edge");
-  const auto* empty =
-      find(MetricsRegistry::global().snapshot(), "test.metrics.quantile_edge");
+  const auto* empty = find_now("test.metrics.quantile_edge");
   ASSERT_NE(empty, nullptr);
   // No samples yet: "no data" is NaN, never a fabricated 0 (a 0 would be
   // indistinguishable from a real all-zero latency distribution).
@@ -147,23 +154,20 @@ TEST(Metrics, QuantileDegenerateCases) {
 
   // All samples identical: min/max clamping reports the exact value.
   for (int i = 0; i < 100; ++i) histogram.record(42);
-  const auto* m =
-      find(MetricsRegistry::global().snapshot(), "test.metrics.quantile_edge");
+  const auto* m = find_now("test.metrics.quantile_edge");
   EXPECT_DOUBLE_EQ(m->quantile(0.5), 42.0);
   EXPECT_DOUBLE_EQ(m->quantile(0.99), 42.0);
 
   // Zero-only histograms report 0 (bucket 0 is exact).
   MetricsRegistry::global().reset();
   histogram.record(0);
-  const auto* zero =
-      find(MetricsRegistry::global().snapshot(), "test.metrics.quantile_edge");
+  const auto* zero = find_now("test.metrics.quantile_edge");
   EXPECT_DOUBLE_EQ(zero->quantile(0.99), 0.0);
 
   // Counters have no quantiles — NaN, even with a nonzero count.
   Counter counter("test.metrics.quantile_counter");
   counter.add(5);
-  const auto* c = find(MetricsRegistry::global().snapshot(),
-                       "test.metrics.quantile_counter");
+  const auto* c = find_now("test.metrics.quantile_counter");
   EXPECT_TRUE(std::isnan(c->quantile(0.5)));
 }
 
@@ -176,8 +180,7 @@ TEST(Metrics, QuantileSingleBucketClampsToObservedRange) {
   // quantile ever escapes the recorded [min, max].
   histogram.record(130);
   histogram.record(140);
-  const auto* m = find(MetricsRegistry::global().snapshot(),
-                       "test.metrics.quantile_one_bucket");
+  const auto* m = find_now("test.metrics.quantile_one_bucket");
   ASSERT_NE(m, nullptr);
   EXPECT_EQ(m->min, 130u);
   EXPECT_EQ(m->max, 140u);
@@ -288,6 +291,9 @@ TEST(MetricsExport, PrometheusNamesAreSanitizedAndPrefixed) {
             "rp_req_world_info_p50_us");
   // Already rp_-prefixed keys are not double-prefixed.
   EXPECT_EQ(prometheus_metric_name("rp_custom"), "rp_custom");
+  // Registry names keep their own rp namespace.
+  EXPECT_EQ(prometheus_metric_name("rp.serve.readers.live"),
+            "rp_serve_readers_live");
   // Colons are legal in Prometheus metric names and pass through.
   EXPECT_EQ(prometheus_metric_name("rp_a:b"), "rp_a:b");
 }

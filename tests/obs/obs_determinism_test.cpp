@@ -77,7 +77,9 @@ TEST(ObsDeterminism, CounterTotalsIdenticalAcrossThreadCounts) {
   for (const char* name :
        {"rp.pool.parallel_for.calls", "rp.bgp.routes.computed",
         "rp.measure.probes.sent", "rp.offload.greedy.steps",
-        "rp.io.sections.encoded", "rp.io.checksum.verifies"})
+        "rp.io.sections.encoded", "rp.io.checksum.verifies",
+        "rp.sim.frames.flooded", "rp.sim.frames.forwarded",
+        "rp.sim.frames.delivered", "rp.sim.frames.dropped"})
     EXPECT_NE(serial.find(name), std::string::npos) << name;
 }
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -13,6 +14,7 @@
 
 #include "evolve/timeline.hpp"
 #include "fault/fault.hpp"
+#include "obs/metrics.hpp"
 #include "serve/client.hpp"
 #include "util/thread_pool.hpp"
 
@@ -299,6 +301,38 @@ TEST(Daemon, ShutdownRequestStopsTheDaemon) {
   EXPECT_EQ(response.status, Status::kOk);
   EXPECT_EQ(response.id, 9u);
   daemon.wait();  // Returns because the client asked for shutdown.
+  daemon.stop();
+}
+
+TEST(Daemon, FinishedReadersAreReaped) {
+  // The accept loop joins finished readers, so after 300 sequential clients
+  // the daemon holds at most the newest client's reader and the stats one.
+  Daemon daemon(test_config());
+  daemon.start();
+  for (int i = 0; i < 300; ++i) {
+    Client client = Client::connect("127.0.0.1", daemon.port());
+    ASSERT_EQ(client.call(ping_request("reap")).status, Status::kOk);
+  }
+  // A reader that has just seen its client hang up may not have flagged
+  // itself finished yet; each fresh connection reaps again.
+  std::uint64_t live = 0;
+  for (int attempt = 0; attempt < 20; ++attempt) {
+    Client client = Client::connect("127.0.0.1", daemon.port());
+    Request stats;
+    stats.type = RequestType::kStats;
+    stats.id = 5;
+    const Response response = client.call(stats);
+    ASSERT_EQ(response.status, Status::kOk);
+    live = std::stoull(std::string(response.field("rp.serve.readers.live")));
+    if (live <= 2) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_LE(live, 2u);
+  double gauge = -1.0;
+  for (const auto& metric : obs::MetricsRegistry::global().snapshot())
+    if (metric.name == "rp.serve.readers.live") gauge = metric.value;
+  EXPECT_GE(gauge, 1.0);
+  EXPECT_LE(gauge, 2.0);
   daemon.stop();
 }
 

@@ -43,8 +43,8 @@ TEST(CongestionEpisodes, DailyBusyHoursRepeatEachDay) {
   for (int day = 0; day < 3; ++day) {
     const auto busy = util::SimTime::at(util::SimDuration::hours(24 * day + 20));
     const auto quiet = util::SimTime::at(util::SimDuration::hours(24 * day + 3));
-    EXPECT_GT(model->sample(busy, rng).count_nanos(), 0) << "day " << day;
-    EXPECT_EQ(model->sample(quiet, rng).count_nanos(), 0) << "day " << day;
+    EXPECT_GT(model.sample(busy, rng).count_nanos(), 0) << "day " << day;
+    EXPECT_EQ(model.sample(quiet, rng).count_nanos(), 0) << "day " << day;
   }
 }
 
@@ -76,19 +76,6 @@ TEST(PersistentCongestion, MeanConvenienceConstructor) {
   for (int i = 0; i < 20000; ++i)
     total += model.sample(util::SimTime::origin(), rng).as_seconds_f();
   EXPECT_NEAR(total / 20000.0, 9e-3 * 5.0 / 3.0, 1e-3);
-}
-
-TEST(CompositeDelay, SumsParts) {
-  std::vector<std::unique_ptr<DelayModel>> parts;
-  parts.push_back(std::make_unique<PersistentCongestion>(
-      util::SimDuration::millis(2), util::SimDuration::millis(2)));
-  parts.push_back(std::make_unique<PersistentCongestion>(
-      util::SimDuration::millis(3), util::SimDuration::millis(3)));
-  CompositeDelay composite(std::move(parts));
-  util::Rng rng(5);
-  for (int i = 0; i < 100; ++i)
-    EXPECT_NEAR(composite.sample(util::SimTime::origin(), rng).as_seconds_f(),
-                5e-3, 1e-9);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "sim/link.hpp"
 
 namespace rp::sim {
@@ -118,6 +119,33 @@ TEST(L2Switch, CountsForwardAndFlood) {
   EXPECT_EQ(f.sw->frames_forwarded(), 1u);
 }
 
+std::uint64_t counter_total(const char* name) {
+  for (const auto& metric : obs::MetricsRegistry::global().snapshot())
+    if (metric.name == name) return metric.count;
+  return 0;
+}
+
+TEST(FrameTotals, ThreePortBroadcastFloodsOnceAndDeliversTwice) {
+  obs::MetricsRegistry::global().reset();
+  obs::set_metrics_enabled(true);
+  Fabric f;
+  EthernetFrame broadcast = frame_between(f.mac_a, net::MacAddr::broadcast());
+  f.sw->receive(0, broadcast);  // Arrives on a's port.
+  f.sim.run();
+  const L2Switch* switches[] = {f.sw};
+  const FrameTotals totals = FrameTotals::of(f.network, switches);
+  EXPECT_EQ(totals.flooded, 1u);
+  EXPECT_EQ(totals.forwarded, 0u);
+  EXPECT_EQ(totals.delivered, 2u);
+  EXPECT_EQ(totals.dropped, 0u);
+  totals.record();
+  obs::set_metrics_enabled(false);
+  EXPECT_EQ(counter_total("rp.sim.frames.flooded"), 1u);
+  EXPECT_EQ(counter_total("rp.sim.frames.forwarded"), 0u);
+  EXPECT_EQ(counter_total("rp.sim.frames.delivered"), 2u);
+  EXPECT_EQ(counter_total("rp.sim.frames.dropped"), 0u);
+}
+
 TEST(Link, DeliversAfterConfiguredDelay) {
   Simulator sim;
   Network network{sim};
@@ -136,7 +164,7 @@ TEST(Link, LossDropsFrames) {
   Network network{sim};
   auto& a = network.emplace_device<Sink>("a");
   auto& b = network.emplace_device<Sink>("b");
-  Link& link = network.connect(a, b, util::SimDuration::micros(1), nullptr,
+  Link& link = network.connect(a, b, util::SimDuration::micros(1), {},
                                /*loss_probability=*/1.0);
   for (int i = 0; i < 10; ++i)
     a.send(frame_between(net::MacAddr::from_id(1), net::MacAddr::from_id(2)));
@@ -144,6 +172,47 @@ TEST(Link, LossDropsFrames) {
   EXPECT_EQ(b.received.size(), 0u);
   EXPECT_EQ(link.frames_dropped(), 10u);
   EXPECT_EQ(link.frames_delivered(), 0u);
+}
+
+TEST(Link, NoiseDrawsJitterThenCongestionOnTheLinkStream) {
+  // Each frame's extra delay is the jitter draw, then the congestion draw,
+  // both from the link's own stream (a fork of the network's noise seed),
+  // each rounded to a SimDuration before the sum. Campaign bytes depend on
+  // exactly this order.
+  const QueueJitter jitter(util::SimDuration::micros(30), 0.6);
+  const auto base = util::SimDuration::micros(100);
+  const std::vector<LinkNoise> cases = {
+      {jitter, PersistentCongestion(util::SimDuration::millis(10),
+                                    util::SimDuration::millis(400))},
+      {jitter, CongestionEpisodes({{util::SimTime::origin(),
+                                    util::SimTime::at(util::SimDuration::hours(1)),
+                                    util::SimDuration::millis(3)}})}};
+  for (const LinkNoise& noise : cases) {
+    Simulator sim;
+    Network network{sim};
+    network.seed_noise(util::Rng(42));
+    auto& a = network.emplace_device<Sink>("a");
+    auto& b = network.emplace_device<Sink>("b");
+    network.connect(a, b, base, noise);
+
+    util::Rng stream = util::Rng(42).fork(1);  // The first link's stream.
+    for (int i = 0; i < 200; ++i) {
+      const util::SimTime sent = sim.now();
+      a.send(frame_between(net::MacAddr::from_id(1), net::MacAddr::from_id(2)));
+      sim.run();
+      const util::SimDuration first = jitter.sample(sent, stream);
+      util::SimDuration second;
+      if (const auto* p = std::get_if<PersistentCongestion>(&noise.congestion))
+        second = p->sample(sent, stream);
+      else
+        second = std::get<CongestionEpisodes>(noise.congestion)
+                     .sample(sent, stream);
+      ASSERT_EQ((sim.now() - sent).count_nanos(),
+                (base + first + second).count_nanos())
+          << "frame " << i;
+    }
+    EXPECT_EQ(b.received.size(), 200u);
+  }
 }
 
 TEST(Frame, ToStringIsInformative) {
