@@ -53,20 +53,15 @@ const std::vector<stream::BinFrame>& frames() {
   return cached;
 }
 
-util::DynamicBitset maximal_covered() {
-  const auto& analyzer = bench::offload_study().analyzer();
-  util::DynamicBitset covered(analyzer.transit_endpoints().size());
-  const auto& masks = analyzer.coverage_masks(offload::PeerGroup::kAll);
-  for (ixp::IxpId id : analyzer.all_ixps()) covered |= masks[id];
-  return covered;
-}
-
 void BM_StreamIngestBins(benchmark::State& state) {
+  const auto& analyzer = bench::offload_study().analyzer();
   const auto& input = frames();
   const stream::BinSchema schema{endpoint_networks()};
   std::uint64_t bins = 0;
   for (auto _ : state) {
-    stream::StreamIngest ingest(schema, maximal_covered());
+    stream::StreamIngest ingest(
+        schema,
+        analyzer.coverage_union(analyzer.all_ixps(), offload::PeerGroup::kAll));
     for (const stream::BinFrame& frame : input) ingest.consume(frame);
     benchmark::DoNotOptimize(ingest.transit_p95(flow::Direction::kInbound));
     bins += input.size();
@@ -109,9 +104,7 @@ BENCHMARK(BM_BinLogReplay)->Unit(benchmark::kMillisecond);
 /// the union with analyzer.potential_at on reached + candidate.
 void BM_WhatIfDeltaVsRecompute(benchmark::State& state) {
   const auto& analyzer = bench::offload_study().analyzer();
-  const auto& world = bench::scenario();
-  stream::IncrementalOffload engine(analyzer, world.ecosystem(),
-                                    offload::PeerGroup::kAll);
+  stream::IncrementalOffload engine(analyzer, offload::PeerGroup::kAll);
   // Reached: the first five greedy picks — a realistic serve-daemon state.
   std::vector<ixp::IxpId> reached;
   for (const auto& step :
@@ -152,20 +145,6 @@ void BM_WhatIfDeltaVsRecompute(benchmark::State& state) {
   set_thread_counter(state);
 }
 BENCHMARK(BM_WhatIfDeltaVsRecompute)->Unit(benchmark::kMillisecond);
-
-void BM_IncrementalGreedy(benchmark::State& state) {
-  const auto& analyzer = bench::offload_study().analyzer();
-  const auto& world = bench::scenario();
-  stream::IncrementalOffload engine(analyzer, world.ecosystem(),
-                                    offload::PeerGroup::kAll);
-  for (auto _ : state) {
-    const auto curve = engine.greedy(30);
-    benchmark::DoNotOptimize(curve);
-    state.counters["steps"] = static_cast<double>(curve.size());
-  }
-  set_thread_counter(state);
-}
-BENCHMARK(BM_IncrementalGreedy)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

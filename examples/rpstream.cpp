@@ -167,10 +167,8 @@ int cmd_ingest(int argc, char** argv) {
   const StudyBundle bundle = build_study(world);
   const offload::OffloadAnalyzer& analyzer = bundle.study.analyzer();
   stream::BinLogSource source(log_path);
-  stream::StreamSession session(source, analyzer,
-                                bundle.scenario->ecosystem(),
-                                static_cast<offload::PeerGroup>(group),
-                                session_config);
+  const auto peer_group = static_cast<offload::PeerGroup>(group);
+  stream::StreamSession session(source, analyzer, peer_group, session_config);
   if (resume && session.resume())
     std::fprintf(stderr, "rpstream: resumed at bin %llu\n",
                  static_cast<unsigned long long>(session.ingest().next_bin()));
@@ -208,7 +206,7 @@ int cmd_ingest(int argc, char** argv) {
   std::printf("potential.all.out %.17g\n", everywhere.outbound_bps);
   std::printf("potential.all.covered %zu\n", everywhere.covered_networks);
 
-  const auto curve = engine.greedy(steps);
+  const auto curve = analyzer.greedy_by_traffic(peer_group, steps);
   std::printf("greedy.steps %zu\n", curve.size());
   for (std::size_t i = 0; i < curve.size(); ++i) {
     std::printf("greedy.%zu %s %.17g %.17g %.17g %.17g\n", i,

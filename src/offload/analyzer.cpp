@@ -25,7 +25,6 @@ OffloadAnalyzer::OffloadAnalyzer(const topology::AsGraph& graph,
     const bgp::Route* route = rib_->route_to(contribution.asn);
     if (route == nullptr || route->source != bgp::RouteSource::kProvider)
       continue;
-    endpoint_index_.emplace(contribution.asn, endpoints_.size());
     endpoints_.push_back(contribution);
     transit_in_ += contribution.inbound_bps;
     transit_out_ += contribution.outbound_bps;
@@ -148,7 +147,7 @@ std::vector<net::Asn> OffloadAnalyzer::peers_in_group(PeerGroup group) const {
   return out;
 }
 
-const std::vector<util::DynamicBitset>& OffloadAnalyzer::coverage_for(
+const std::vector<util::DynamicBitset>& OffloadAnalyzer::coverage_masks(
     PeerGroup group) const {
   const auto slot = static_cast<std::size_t>(group);
   std::scoped_lock lock(coverage_mutex_);
@@ -180,17 +179,29 @@ const std::vector<util::DynamicBitset>& OffloadAnalyzer::coverage_for(
   return coverage_cache_[slot];
 }
 
-const util::DynamicBitset& OffloadAnalyzer::ixp_coverage(
-    ixp::IxpId ixp, PeerGroup group) const {
-  return coverage_for(group)[ixp];
+util::DynamicBitset OffloadAnalyzer::coverage_union(
+    std::span<const ixp::IxpId> ixps, PeerGroup group) const {
+  const std::vector<util::DynamicBitset>& coverage = coverage_masks(group);
+  util::DynamicBitset mask(endpoints_.size());
+  for (ixp::IxpId id : ixps) mask |= coverage[id];
+  return mask;
+}
+
+Potential OffloadAnalyzer::potential_of(
+    const util::DynamicBitset& mask) const {
+  Potential p;
+  mask.for_each([this, &p](std::size_t i) {
+    p.inbound_bps += endpoints_[i].inbound_bps;
+    p.outbound_bps += endpoints_[i].outbound_bps;
+    ++p.covered_networks;
+  });
+  return p;
 }
 
 std::vector<net::Asn> OffloadAnalyzer::covered_endpoints(
     std::span<const ixp::IxpId> ixps, PeerGroup group) const {
-  util::DynamicBitset mask(endpoints_.size());
-  for (ixp::IxpId id : ixps) mask |= ixp_coverage(id, group);
   std::vector<net::Asn> out;
-  mask.for_each([this, &out](std::size_t i) {
+  coverage_union(ixps, group).for_each([this, &out](std::size_t i) {
     out.push_back(endpoints_[i].asn);
   });
   return out;
@@ -198,30 +209,15 @@ std::vector<net::Asn> OffloadAnalyzer::covered_endpoints(
 
 Potential OffloadAnalyzer::potential_at(std::span<const ixp::IxpId> ixps,
                                         PeerGroup group) const {
-  util::DynamicBitset mask(endpoints_.size());
-  for (ixp::IxpId id : ixps) mask |= ixp_coverage(id, group);
-  Potential p;
-  mask.for_each([this, &p](std::size_t i) {
-    p.inbound_bps += endpoints_[i].inbound_bps;
-    p.outbound_bps += endpoints_[i].outbound_bps;
-    ++p.covered_networks;
-  });
-  return p;
+  return potential_of(coverage_union(ixps, group));
 }
 
 Potential OffloadAnalyzer::remaining_potential_at(
     ixp::IxpId target, std::span<const ixp::IxpId> already_reached,
     PeerGroup group) const {
-  util::DynamicBitset mask = ixp_coverage(target, group);  // Copy of cache.
-  for (ixp::IxpId id : already_reached)
-    mask.subtract(ixp_coverage(id, group));
-  Potential p;
-  mask.for_each([this, &p](std::size_t i) {
-    p.inbound_bps += endpoints_[i].inbound_bps;
-    p.outbound_bps += endpoints_[i].outbound_bps;
-    ++p.covered_networks;
-  });
-  return p;
+  util::DynamicBitset mask = coverage_union({&target, 1}, group);
+  mask.subtract(coverage_union(already_reached, group));
+  return potential_of(mask);
 }
 
 std::vector<ixp::IxpId> OffloadAnalyzer::all_ixps() const {
@@ -240,7 +236,7 @@ std::vector<GreedyStep> OffloadAnalyzer::greedy(
   static obs::Counter step_count("rp.offload.greedy.steps");
   static obs::Counter scans("rp.offload.greedy.scans");
   runs.add();
-  const std::vector<util::DynamicBitset>& coverage = coverage_for(group);
+  const std::vector<util::DynamicBitset>& coverage = coverage_masks(group);
 
   util::DynamicBitset remaining(endpoints_.size());
   for (std::size_t i = 0; i < endpoints_.size(); ++i) remaining.set(i);
@@ -329,9 +325,7 @@ std::vector<GreedyStep> OffloadAnalyzer::greedy_by_addresses(
 
 std::vector<ContributorRow> OffloadAnalyzer::top_contributors(
     std::size_t count, PeerGroup group) const {
-  const std::vector<ixp::IxpId> everywhere = all_ixps();
-  util::DynamicBitset covered(endpoints_.size());
-  for (ixp::IxpId id : everywhere) covered |= ixp_coverage(id, group);
+  const util::DynamicBitset covered = coverage_union(all_ixps(), group);
 
   // Networks the vantage buys transit from are the entities being bypassed;
   // they are not contributors to the offload potential.

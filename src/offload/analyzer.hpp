@@ -100,6 +100,11 @@ class OffloadAnalyzer {
   /// top-10 selective refinement by offload potential).
   std::vector<net::Asn> peers_in_group(PeerGroup group) const;
 
+  /// Endpoints covered (offloadable) when reaching `ixps` under `group`: the
+  /// union of their coverage masks, in transit_endpoints() order. Every set
+  /// query below is this union followed by a read of its bits.
+  util::DynamicBitset coverage_union(std::span<const ixp::IxpId> ixps,
+                                     PeerGroup group) const;
   /// Networks covered (offloadable) when reaching `ixps` under `group`.
   std::vector<net::Asn> covered_endpoints(std::span<const ixp::IxpId> ixps,
                                           PeerGroup group) const;
@@ -130,22 +135,16 @@ class OffloadAnalyzer {
   std::vector<ixp::IxpId> all_ixps() const;
 
   /// The per-IXP coverage masks of a group, indexed by IxpId: endpoint-space
-  /// bitsets in transit_endpoints() order. Built lazily (shared with every
-  /// other query); rp::stream's incremental layer folds them into live
-  /// covered-set state instead of re-unioning per what-if.
-  const std::vector<util::DynamicBitset>& coverage_masks(PeerGroup group) const {
-    return coverage_for(group);
-  }
+  /// bitsets in transit_endpoints() order. Built lazily (in parallel across
+  /// IXPs) on first use and cached for the analyzer's lifetime, so every
+  /// query reuses them instead of re-unioning member cones per call;
+  /// rp::stream's incremental layer folds them into live covered-set state.
+  const std::vector<util::DynamicBitset>& coverage_masks(PeerGroup group) const;
 
  private:
-  /// All coverage masks of a group, indexed by IxpId. Built lazily (in
-  /// parallel across IXPs) on first use and cached for the analyzer's
-  /// lifetime — every public query then reuses them instead of re-unioning
-  /// member cones per call.
-  const std::vector<util::DynamicBitset>& coverage_for(PeerGroup group) const;
-  /// Coverage mask of one IXP under a group: endpoints offloadable there.
-  const util::DynamicBitset& ixp_coverage(ixp::IxpId ixp,
-                                          PeerGroup group) const;
+  /// Rates and count of the endpoints set in `mask`, summed in ascending
+  /// endpoint order.
+  Potential potential_of(const util::DynamicBitset& mask) const;
   const util::DynamicBitset* peer_cone_mask(net::Asn peer) const;
   bool peer_in_group_resolved(net::Asn peer, PeerGroup group) const;
   std::vector<GreedyStep> greedy(PeerGroup group, std::size_t max_steps,
@@ -160,7 +159,6 @@ class OffloadAnalyzer {
   AnalyzerConfig config_;
 
   std::vector<flow::NetworkContribution> endpoints_;
-  std::unordered_map<net::Asn, std::size_t> endpoint_index_;
   double transit_in_ = 0.0;
   double transit_out_ = 0.0;
   double transit_addresses_ = 0.0;

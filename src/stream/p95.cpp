@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "util/stats.hpp"
+
 namespace rp::stream {
 
 namespace {
@@ -87,16 +89,9 @@ double P95Sketch::quantile(double q) const {
   if (count_ == 0) throw std::logic_error("P95Sketch::quantile: empty sketch");
   if (!(q > 0.0 && q <= 1.0))
     throw std::invalid_argument("P95Sketch::quantile: q out of (0, 1]");
-  if (levels_.empty()) {
-    // Exact regime: reproduce util::p95_billing_rate — sort the retained
-    // series, pick nearest-rank ceil(q n).
-    std::vector<double> sorted = ring_;
-    std::sort(sorted.begin(), sorted.end());
-    std::size_t rank = static_cast<std::size_t>(
-        std::ceil(q * static_cast<double>(sorted.size())));
-    if (rank == 0) rank = 1;
-    return sorted[rank - 1];
-  }
+  // Exact regime: the retained series under the rank rule of
+  // util::p95_billing_rate.
+  if (levels_.empty()) return util::nearest_rank(ring_, q);
   // Compactor regime: nearest-rank over the weighted survivors.
   struct Weighted {
     double value;

@@ -8,8 +8,8 @@
 //   exact ring   while at most `exact_capacity` samples have arrived (the
 //                default, 8064, is one paper month of 5-minute bins) every
 //                sample is retained, and quantiles reproduce
-//                util::p95_billing_rate on the full series byte for byte —
-//                same sort, same nearest-rank ceil(0.95 n) selection.
+//                util::p95_billing_rate on the full series byte for byte:
+//                both are util::nearest_rank over the same samples.
 //   compactor    the first sample beyond the ring capacity collapses the
 //                ring into a deterministic multi-level compacting sketch
 //                (KLL-style, but with an alternating keep-even/keep-odd rule

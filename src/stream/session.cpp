@@ -14,14 +14,6 @@ namespace {
 constexpr std::uint32_t kSectionIngest = 1;
 constexpr std::uint32_t kSectionReached = 2;
 
-util::DynamicBitset maximal_coverage(const offload::OffloadAnalyzer& analyzer,
-                                     offload::PeerGroup group) {
-  util::DynamicBitset covered(analyzer.transit_endpoints().size());
-  const auto& masks = analyzer.coverage_masks(group);
-  for (ixp::IxpId id : analyzer.all_ixps()) covered |= masks[id];
-  return covered;
-}
-
 BinSchema endpoint_schema(const offload::OffloadAnalyzer& analyzer) {
   BinSchema schema;
   for (const auto& endpoint : analyzer.transit_endpoints())
@@ -33,13 +25,13 @@ BinSchema endpoint_schema(const offload::OffloadAnalyzer& analyzer) {
 
 StreamSession::StreamSession(BinSource& source,
                              const offload::OffloadAnalyzer& analyzer,
-                             const ixp::IxpEcosystem& ecosystem,
                              offload::PeerGroup group,
                              StreamSessionConfig config)
     : source_(&source),
       config_(std::move(config)),
-      ingest_(endpoint_schema(analyzer), maximal_coverage(analyzer, group)),
-      incremental_(analyzer, ecosystem, group) {
+      ingest_(endpoint_schema(analyzer),
+              analyzer.coverage_union(analyzer.all_ixps(), group)),
+      incremental_(analyzer, group) {
   if (!(source.schema() == ingest_.schema()))
     throw std::invalid_argument(
         "StreamSession: source schema != analyzer transit endpoints");

@@ -8,15 +8,14 @@
 // with the usual atomic-rename discipline. A replay killed mid-ingest (the
 // stream.bin fault site) therefore leaves a valid checkpoint on disk;
 // resume() restores it, seeks the source, and the continued run's
-// percentiles and greedy curve are byte-identical to an uninterrupted one —
-// the property the ci.sh stream smoke asserts.
+// percentiles are byte-identical to an uninterrupted one — the property the
+// ci.sh stream smoke asserts.
 #pragma once
 
 #include <cstdint>
 #include <filesystem>
 #include <limits>
 
-#include "ixp/ixp.hpp"
 #include "offload/analyzer.hpp"
 #include "stream/bin_source.hpp"
 #include "stream/incremental.hpp"
@@ -39,8 +38,7 @@ class StreamSession {
   /// union of `group` coverage over all reachable IXPs (the maximal-offload
   /// series of Fig. 5b).
   StreamSession(BinSource& source, const offload::OffloadAnalyzer& analyzer,
-                const ixp::IxpEcosystem& ecosystem, offload::PeerGroup group,
-                StreamSessionConfig config = {});
+                offload::PeerGroup group, StreamSessionConfig config = {});
 
   /// Consumes up to `max_bins` further bins (until the source runs dry),
   /// checkpointing on the configured cadence. Returns the number of bins

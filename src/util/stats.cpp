@@ -39,17 +39,19 @@ double percentile(std::vector<double> values, double q) {
   return values[lo] + frac * (values[lo + 1] - values[lo]);
 }
 
-double p95_billing_rate(std::vector<double> five_minute_rates) {
-  if (five_minute_rates.empty())
-    throw std::invalid_argument("p95_billing_rate: empty sample");
-  std::sort(five_minute_rates.begin(), five_minute_rates.end());
-  // Operator convention: discard the top 5% of samples, bill at the largest
-  // remaining one (nearest-rank).
-  const std::size_t n = five_minute_rates.size();
+double nearest_rank(std::vector<double> values, double q) {
+  if (values.empty()) throw std::invalid_argument("nearest_rank: empty sample");
+  std::sort(values.begin(), values.end());
   std::size_t rank = static_cast<std::size_t>(
-      std::ceil(0.95 * static_cast<double>(n)));
+      std::ceil(q * static_cast<double>(values.size())));
   if (rank == 0) rank = 1;
-  return five_minute_rates[rank - 1];
+  return values[rank - 1];
+}
+
+double p95_billing_rate(std::vector<double> five_minute_rates) {
+  // Operator convention: discard the top 5% of samples, bill at the largest
+  // remaining one.
+  return nearest_rank(std::move(five_minute_rates), 0.95);
 }
 
 EmpiricalCdf::EmpiricalCdf(std::vector<double> values)

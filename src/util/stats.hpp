@@ -26,10 +26,15 @@ std::optional<Summary> summarize(const std::vector<double>& values);
 /// Throws std::invalid_argument on empty input or q out of range.
 double percentile(std::vector<double> values, double q);
 
+/// Nearest-rank quantile: sorts the sample and returns its rank-ceil(q * n)
+/// element (rank at least 1). `q` in (0, 1]. Throws std::invalid_argument on
+/// an empty sample.
+double nearest_rank(std::vector<double> values, double q);
+
 /// The 95th-percentile rule used for transit billing (§2.1): the charge is
 /// per-Mbps price times the 95th percentile of the 5-minute traffic rates.
 /// Uses the operator convention of discarding the top 5% of samples, i.e.
-/// nearest-rank at ceil(0.95 * n).
+/// nearest_rank at q = 0.95.
 double p95_billing_rate(std::vector<double> five_minute_rates);
 
 /// An empirical CDF over a fixed sample, queryable at arbitrary x and

@@ -1,29 +1,30 @@
 // Property sweep over generated worlds: invariants of the offload analysis
 // that must hold for any seed — greedy monotonicity, coverage bounds, group
-// nesting, and consistency between the greedy curve and direct potentials.
+// nesting, and consistency between the greedy curve and direct potentials —
+// plus the greedy curve's byte-identity across thread-pool widths.
 #include <gtest/gtest.h>
 
 #include "core/offload_study.hpp"
 #include "core/scenario.hpp"
+#include "util/thread_pool.hpp"
 
 namespace rp::offload {
 namespace {
 
-class OffloadProperty : public ::testing::TestWithParam<std::uint64_t> {
- protected:
-  static core::Scenario make_scenario(std::uint64_t seed) {
-    core::ScenarioConfig config;
-    config.seed = seed;
-    config.membership_scale = 0.08;
-    config.topology.tier2_count = 40;
-    config.topology.access_count = 120;
-    config.topology.content_count = 40;
-    config.topology.cdn_count = 6;
-    config.topology.nren_count = 5;
-    config.topology.enterprise_count = 100;
-    return core::Scenario::build(config);
-  }
-};
+core::Scenario make_scenario(std::uint64_t seed) {
+  core::ScenarioConfig config;
+  config.seed = seed;
+  config.membership_scale = 0.08;
+  config.topology.tier2_count = 40;
+  config.topology.access_count = 120;
+  config.topology.content_count = 40;
+  config.topology.cdn_count = 6;
+  config.topology.nren_count = 5;
+  config.topology.enterprise_count = 100;
+  return core::Scenario::build(config);
+}
+
+class OffloadProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(OffloadProperty, GreedyInvariants) {
   const auto scenario = make_scenario(GetParam());
@@ -116,6 +117,49 @@ TEST_P(OffloadProperty, CoverageBoundedByEligibleCones) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OffloadProperty,
                          ::testing::Values(3, 17, 42, 2014));
+
+// The cone masks, the per-IXP coverage masks and every greedy step's gain
+// scan fan out over the pool. Each analyzer is built at its own width, so
+// all three run at 1 and at 8 threads, and the curves must agree in every
+// field of every step.
+TEST(OffloadAnalyzer, GreedyCurveIdenticalAcrossThreadWidths) {
+  const auto scenario = make_scenario(2014);
+  core::OffloadStudyConfig config;
+  config.rate_model.span = util::SimDuration::days(2);
+  const PeerGroup groups[] = {PeerGroup::kOpen, PeerGroup::kOpenTop10Selective,
+                              PeerGroup::kOpenSelective, PeerGroup::kAll};
+  // curves[w] holds, per group, the traffic curve then the address curve.
+  std::vector<std::vector<GreedyStep>> curves[2];
+  const unsigned widths[] = {1, 8};
+  for (int w = 0; w < 2; ++w) {
+    util::ThreadPool::set_global_threads(widths[w]);
+    const auto study = core::OffloadStudy::run(scenario, config);
+    for (PeerGroup group : groups) {
+      curves[w].push_back(study.analyzer().greedy_by_traffic(group, 65));
+      curves[w].push_back(study.analyzer().greedy_by_addresses(group, 65));
+    }
+  }
+  util::ThreadPool::set_global_threads(0);
+
+  ASSERT_EQ(curves[0].size(), curves[1].size());
+  for (std::size_t c = 0; c < curves[0].size(); ++c) {
+    const auto& narrow = curves[0][c];
+    const auto& wide = curves[1][c];
+    ASSERT_GT(narrow.size(), 1u) << "curve " << c;
+    ASSERT_EQ(narrow.size(), wide.size()) << "curve " << c;
+    for (std::size_t i = 0; i < narrow.size(); ++i) {
+      EXPECT_EQ(narrow[i].ixp_id, wide[i].ixp_id) << c << " step " << i;
+      EXPECT_EQ(narrow[i].acronym, wide[i].acronym) << c << " step " << i;
+      EXPECT_EQ(narrow[i].gained, wide[i].gained) << c << " step " << i;
+      EXPECT_EQ(narrow[i].remaining, wide[i].remaining) << c << " step " << i;
+      EXPECT_EQ(narrow[i].remaining_inbound_bps, wide[i].remaining_inbound_bps)
+          << c << " step " << i;
+      EXPECT_EQ(narrow[i].remaining_outbound_bps,
+                wide[i].remaining_outbound_bps)
+          << c << " step " << i;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace rp::offload

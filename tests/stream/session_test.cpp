@@ -30,7 +30,7 @@ TEST(StreamSession, RejectsMismatchedSchema) {
   auto networks = w.endpoint_networks();
   std::swap(networks.front(), networks.back());
   RateModelBinSource source(*w.rates, networks);
-  EXPECT_THROW(StreamSession(source, *w.analyzer, w.eco,
+  EXPECT_THROW(StreamSession(source, *w.analyzer,
                              offload::PeerGroup::kAll),
                std::invalid_argument);
 }
@@ -38,7 +38,7 @@ TEST(StreamSession, RejectsMismatchedSchema) {
 TEST(StreamSession, StreamingP95MatchesBatchBitForBit) {
   StreamWorld w;
   RateModelBinSource source(*w.rates, w.endpoint_networks());
-  StreamSession session(source, *w.analyzer, w.eco, offload::PeerGroup::kAll);
+  StreamSession session(source, *w.analyzer, offload::PeerGroup::kAll);
   const std::uint64_t consumed = session.run();
   EXPECT_EQ(consumed, w.rates->bin_count());
 
@@ -64,7 +64,7 @@ TEST(StreamSession, IngestStateInvariantAcrossThreadWidths) {
   for (const unsigned threads : {1u, 8u}) {
     util::ThreadPool::set_global_threads(threads);
     RateModelBinSource source(*w.rates, w.endpoint_networks());
-    StreamSession session(source, *w.analyzer, w.eco,
+    StreamSession session(source, *w.analyzer,
                           offload::PeerGroup::kAll);
     session.run();
     (threads == 1 ? narrow : wide) = ingest_bytes(session.ingest());
@@ -76,7 +76,7 @@ TEST(StreamSession, IngestStateInvariantAcrossThreadWidths) {
 TEST(StreamSession, OrderedArrivalContractEnforced) {
   StreamWorld w;
   RateModelBinSource source(*w.rates, w.endpoint_networks());
-  StreamSession session(source, *w.analyzer, w.eco, offload::PeerGroup::kAll);
+  StreamSession session(source, *w.analyzer, offload::PeerGroup::kAll);
   session.run(3);
   BinFrame gap;
   source.seek(7);
@@ -97,14 +97,12 @@ TEST(StreamSession, KillResumeReproducesUninterruptedBytes) {
 
   // Reference: one uninterrupted replay.
   std::vector<std::uint8_t> reference;
-  std::vector<offload::GreedyStep> reference_curve;
   {
     BinLogSource source(log_path);
-    StreamSession session(source, *w.analyzer, w.eco,
+    StreamSession session(source, *w.analyzer,
                           offload::PeerGroup::kAll);
     session.run();
     reference = ingest_bytes(session.ingest());
-    reference_curve = session.incremental().greedy(5);
   }
 
   // Replay killed mid-stream by the stream.bin fault site, after the
@@ -115,7 +113,7 @@ TEST(StreamSession, KillResumeReproducesUninterruptedBytes) {
   fault::arm(std::string(fault::kSiteStreamBin) + ":nth=150");
   {
     BinLogSource source(log_path);
-    StreamSession session(source, *w.analyzer, w.eco,
+    StreamSession session(source, *w.analyzer,
                           offload::PeerGroup::kAll, config);
     EXPECT_THROW(session.run(), fault::InjectedFault);
   }
@@ -125,21 +123,13 @@ TEST(StreamSession, KillResumeReproducesUninterruptedBytes) {
   // A fresh process resumes from the checkpoint and finishes the stream.
   {
     BinLogSource source(log_path);
-    StreamSession session(source, *w.analyzer, w.eco,
+    StreamSession session(source, *w.analyzer,
                           offload::PeerGroup::kAll, config);
     ASSERT_TRUE(session.resume());
     EXPECT_EQ(session.ingest().bins(), 120u);
     session.run();
     EXPECT_EQ(session.ingest().bins(), 200u);
     EXPECT_EQ(ingest_bytes(session.ingest()), reference);
-
-    const auto curve = session.incremental().greedy(5);
-    ASSERT_EQ(curve.size(), reference_curve.size());
-    for (std::size_t i = 0; i < curve.size(); ++i) {
-      EXPECT_EQ(curve[i].acronym, reference_curve[i].acronym);
-      EXPECT_EQ(curve[i].gained, reference_curve[i].gained);
-      EXPECT_EQ(curve[i].remaining, reference_curve[i].remaining);
-    }
   }
   std::filesystem::remove(log_path);
   std::filesystem::remove(ckpt_path);
@@ -151,7 +141,7 @@ TEST(StreamSession, ResumeWithoutCheckpointReturnsFalse) {
   StreamSessionConfig config;
   config.checkpoint_path = temp_file("rp_stream_session_missing.rpsnap");
   std::filesystem::remove(config.checkpoint_path);
-  StreamSession session(source, *w.analyzer, w.eco, offload::PeerGroup::kAll,
+  StreamSession session(source, *w.analyzer, offload::PeerGroup::kAll,
                         config);
   EXPECT_FALSE(session.resume());
 }
@@ -163,7 +153,7 @@ TEST(StreamSession, ResumeRejectsACorruptCheckpoint) {
   config.checkpoint_path = ckpt_path;
   {
     RateModelBinSource source(*w.rates, w.endpoint_networks());
-    StreamSession session(source, *w.analyzer, w.eco,
+    StreamSession session(source, *w.analyzer,
                           offload::PeerGroup::kAll, config);
     session.run(10);
     session.checkpoint();
@@ -171,7 +161,7 @@ TEST(StreamSession, ResumeRejectsACorruptCheckpoint) {
   const auto size = std::filesystem::file_size(ckpt_path);
   std::filesystem::resize_file(ckpt_path, size - 7);
   RateModelBinSource source(*w.rates, w.endpoint_networks());
-  StreamSession session(source, *w.analyzer, w.eco, offload::PeerGroup::kAll,
+  StreamSession session(source, *w.analyzer, offload::PeerGroup::kAll,
                         config);
   EXPECT_THROW(session.resume(), io::SnapshotError);
   std::filesystem::remove(ckpt_path);
